@@ -54,6 +54,7 @@ class BareStrategy:
         self.target = parallel(dual(game_a), middle, game_b,
                                name=f"target({name})" if name else "")
         self.sigma = ESMap(source.es, self.target.es, assign)
+        self._stop_of = {}  # limits -> stop_of(self, limits)
 
     @property
     def is_strategy(self):
@@ -207,9 +208,13 @@ class StoppingStrategy:
                 f"stopping member {sortedevents(x)} is not a configuration",
                 member=x) for x in bad])
         self.stopping = stopping
+        self._sorted = None
 
     def sorted_stopping(self):
-        return sorted(self.stopping, key=cfgkey)
+        """The stopping configurations, smallest first, as a tuple."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.stopping, key=cfgkey))
+        return self._sorted
 
     def __repr__(self):
         nm = self.name or "stopping"
@@ -221,12 +226,18 @@ def stop_of(bs, limits=DEFAULT_LIMITS):
 
     A configuration counts as maximal when it has no Player or neutral
     extension. For a source without neutral events this is exactly the set of
-    its maximal configurations in that sense.
+    its maximal configurations in that sense. The result is derived once per
+    bare strategy and limits, and shared by later calls.
     """
-    vis, _, down = visible_part(bs, limits)
-    stopping = {down(x) for x in bs.source.configurations(limits)
-                if is_plus_maximal(bs.source, x)}
-    return StoppingStrategy(vis, stopping, name=f"st({bs.name})" if bs.name else "")
+    st = bs._stop_of.get(limits)
+    if st is None:
+        vis, _, down = visible_part(bs, limits)
+        stopping = {down(x) for x in bs.source.configurations(limits)
+                    if is_plus_maximal(bs.source, x)}
+        st = StoppingStrategy(vis, stopping,
+                              name=f"st({bs.name})" if bs.name else "")
+        bs._stop_of[limits] = st
+    return st
 
 
 def saturate_stopping(st, limits=DEFAULT_LIMITS):

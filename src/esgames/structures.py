@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 from graphlib import TopologicalSorter, CycleError
 from itertools import combinations
 
-import networkx as nx
-
 from .errors import (
     ConsistencyNotDownClosed,
     CycleInCause,
@@ -278,16 +276,41 @@ def diagnose_structure(events, causes=(), conflicts=(), consistent=None):
         if any(isinstance(d, InconsistentSingleton) for d in diags):
             return diags, None
         if closed:
-            g = nx.Graph()
-            g.add_nodes_from(events)
-            g.add_edges_from(tuple(p) for p in closed)
-            maxcons = [frozenset(c) for c in nx.find_cliques(nx.complement(g))]
+            compatible = {e: evset - {e} for e in events}
+            for pr in closed:
+                a, b = tuple(pr)
+                compatible[a] = compatible[a] - {b}
+                compatible[b] = compatible[b] - {a}
+            maxcons = _maximal_cliques(compatible)
         else:
             maxcons = [frozenset(events)]
 
     if diags:
         return diags, None
     return diags, EventStructure(events, below, maxcons)
+
+
+def _maximal_cliques(adjacent):
+    """Maximal cliques of the graph given as vertex -> set of neighbours.
+
+    Bron-Kerbosch with pivoting (Tomita, Tanaka, Takahashi, TCS 2006): only
+    vertices outside the pivot's neighbourhood are branched on, since every
+    maximal clique contains the pivot or one of them.
+    """
+    out = []
+
+    def expand(clique, cands, done):
+        if not cands and not done:
+            out.append(frozenset(clique))
+            return
+        pivot = max(cands | done, key=lambda u: len(cands & adjacent[u]))
+        for v in cands - adjacent[pivot]:
+            expand(clique | {v}, cands & adjacent[v], done & adjacent[v])
+            cands = cands - {v}
+            done = done | {v}
+
+    expand(frozenset(), frozenset(adjacent), frozenset())
+    return out
 
 
 def event_structure(events, causes=(), conflicts=(), consistent=None, name=""):

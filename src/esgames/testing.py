@@ -6,7 +6,7 @@ and in the must sense when every stopping pairing does.
 """
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .errors import GameMismatch, InvalidStructure, NotAGap, SizeBoundExceeded
@@ -16,7 +16,7 @@ from .interaction import _padding, pair_configs
 from .limits import DEFAULT_LIMITS
 from .strategies import (BareStrategy, StoppingStrategy, bare_strategy,
                          stop_of, strategy, visible_part)
-from .structures import cfgkey, ekey, event_structure
+from .structures import ekey, event_structure
 
 TICK = "tick"
 
@@ -40,40 +40,57 @@ class Verdict:
 # ---- traces ------------------------------------------------------------------------
 
 
-def traces_of(sigma, x):
-    """All enumerations of the image of x compatible with the order inside x.
+def _linearisations(sigma, x):
+    """Yield the image of each linear extension of the order inside x.
 
-    Events of the result carry their target tags. Every configuration has at
-    least one trace; the empty configuration has exactly the empty trace.
+    The images are pairwise distinct, as sigma is injective on x.
     """
     x = frozenset(x)
     src = sigma.source.es
     preds = {s: (src.strict_below(s) & x) for s in x}
-    out = []
+    prefix = []
 
-    def grow(prefix, placed, remaining):
+    def grow(placed, remaining):
         if not remaining:
-            out.append(tuple(prefix))
+            yield tuple(prefix)
             return
         for s in sorted(remaining, key=ekey):
             if preds[s] <= placed:
                 prefix.append(sigma.assigned(s))
-                grow(prefix, placed | {s}, remaining - {s})
+                yield from grow(placed | {s}, remaining - {s})
                 prefix.pop()
 
-    grow([], frozenset(), x)
+    return grow(frozenset(), x)
+
+
+def traces_of(sigma, x, limits=DEFAULT_LIMITS):
+    """All enumerations of the image of x compatible with the order inside x.
+
+    Events of the result carry their target tags. Every configuration has at
+    least one trace; the empty configuration has exactly the empty trace.
+    Raises SizeBoundExceeded as soon as more than limits.max_configs traces
+    have been generated.
+    """
+    out = set()
+    for tr in _linearisations(sigma, x):
+        out.add(tr)
+        if len(out) > limits.max_configs:
+            raise SizeBoundExceeded(
+                f"more than {limits.max_configs} traces of one configuration",
+                cap=limits.max_configs)
     return frozenset(out)
 
 
 def _trace_index(sigma, configs, limits):
-    """trace -> first configuration realising it, in size order."""
+    """trace -> first configuration realising it; configs come smallest first."""
     index = {}
-    for x in sorted(configs, key=lambda c: (len(c), cfgkey(c))):
-        for tr in traces_of(sigma, x):
+    for x in configs:
+        for tr in traces_of(sigma, x, limits):
             index.setdefault(tr, x)
         if len(index) > limits.max_configs:
-            raise SizeBoundExceeded("trace index exceeds the configuration cap",
-                                    bound=limits.max_configs)
+            raise SizeBoundExceeded(
+                f"more than {limits.max_configs} distinct traces",
+                cap=limits.max_configs)
     return index
 
 
@@ -121,19 +138,14 @@ def _ticks(bs, y):
     return any(bs.assigned(t) == (3, TICK) for t in y)
 
 
-def _sorted_configs(polarised, limits):
-    return sorted(polarised.configurations(limits),
-                  key=lambda c: (len(c), cfgkey(c)))
-
-
 def may_pass(subject, test, limits=DEFAULT_LIMITS):
     """Some pairing of configurations reaches the success move."""
     sub = _as_stopping(subject, limits)
     _check_test_shape(sub, test)
     tvis = _visible(test)
     pad = _padding(sub.strat, tvis)
-    xs = _sorted_configs(sub.strat.source, limits)
-    for y in _sorted_configs(tvis.source, limits):
+    xs = sub.strat.source.configurations(limits)
+    for y in tvis.source.configurations(limits):
         if not _ticks(tvis, y):
             continue
         for x in xs:
@@ -156,7 +168,7 @@ def must_pass(subject, test, limits=DEFAULT_LIMITS):
     for y in tstop.sorted_stopping():
         if _ticks(tstop.strat, y):
             continue
-        for x in sorted(sub.stopping, key=lambda c: (len(c), cfgkey(c))):
+        for x in sub.sorted_stopping():
             if pair_configs(sub.strat, tstop.strat, x, y, limits, pad) is not None:
                 return Verdict(False, (x, y))
     return Verdict(True)
@@ -227,6 +239,16 @@ def _saturation(g, t1):
             if all(g.pol[b] == PLUS for b in g.es.below(a) - t1)}
 
 
+def _game_conflicts(g, moves):
+    """The pairs of moves that the game's consistency rejects.
+
+    A test that holds both moves of such a pair consistent would map an
+    inconsistent set onto the game.
+    """
+    return [(a, b) for a, b in combinations(sorted(moves, key=ekey), 2)
+            if not g.es.is_consistent({a, b})]
+
+
 def _reversal_edges(v2, configs, t1, pos, limits):
     """One order-reversing edge per configuration of v2 with image t1.
 
@@ -236,7 +258,7 @@ def _reversal_edges(v2, configs, t1, pos, limits):
     """
     edges = set()
     immediate = v2.source.es.immediate_pairs()
-    for x2 in sorted(configs, key=lambda c: (len(c), cfgkey(c))):
+    for x2 in configs:
         if {payload(v2.assigned(s)) for s in x2} != t1 or len(x2) != len(t1):
             continue
         best = None
@@ -283,7 +305,8 @@ def synthesize_may_test(sigma2, gap, limits=DEFAULT_LIMITS):
     tick = TICK if TICK not in t1p else ("k", TICK)
     causes += [(t, tick) for t in t1 if g.pol[t] == PLUS]
     pol = _flip(g)
-    src = Polarised(event_structure(sorted(t1p, key=ekey) + [tick], causes),
+    src = Polarised(event_structure(sorted(t1p, key=ekey) + [tick], causes,
+                                    _game_conflicts(g, t1p)),
                     {a: pol[a] for a in t1p} | {tick: PLUS})
     assign = {a: (1, a) for a in t1p} | {tick: (3, TICK)}
     return strategy(src, g, success_game(), assign,
@@ -324,7 +347,8 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
     causes += [(t, n) for t, n in shadows.items()]
     causes += [(a, ticks[a]) for a in t1p - t1]
 
-    conflicts = list(combinations(sorted(ticks.values()), 2))
+    conflicts = _game_conflicts(g, t1p)
+    conflicts += combinations(sorted(ticks.values()), 2)
     conflicts += [(t, ticks[t]) for t in t1 if g.pol[t] == MINUS]
     conflicts += [(n, ticks[t]) for t, n in shadows.items()]
 
@@ -358,9 +382,25 @@ def enumerate_tests(g, max_events=None, bare=False, limits=DEFAULT_LIMITS):
     Exhaustive up to renaming of source events: candidate skeletons are cut by
     cheap necessary conditions, then validated in full. Intended for small
     bounds; the default comes from limits.max_test_size.
+
+    The list is new on every call, but the tests in it are shared between
+    calls on equal games: the last few enumerations are kept, keyed on the
+    game's value. A test's game test.A is therefore equal to g but may be
+    another object, under another name, since names are not part of a
+    game's value.
     """
     if max_events is None:
         max_events = limits.max_test_size
+    return list(_enumerate_tests(g, max_events, bare, limits))
+
+
+# Enumerations kept by _enumerate_tests; one budget-4 bare enumeration over a
+# one-move Opponent game holds about 6 200 tests.
+_KEPT_ENUMERATIONS = 8
+
+
+@lru_cache(maxsize=_KEPT_ENUMERATIONS)
+def _enumerate_tests(g, max_events, bare, limits):
     pol = _flip(g)
     kinds = [("g", a) for a in sorted(g.events, key=ekey)] + [("t", None)]
     if bare:
@@ -373,7 +413,7 @@ def enumerate_tests(g, max_events=None, bare=False, limits=DEFAULT_LIMITS):
             if any(sum(1 for b in gpart if b == a) != 1 for a in core):
                 continue
             found.extend(_skeletons(g, pol, combo, limits))
-    return found
+    return tuple(found)
 
 
 def _skeletons(g, pol, combo, limits):

@@ -1,5 +1,7 @@
 """The .esg text format and the esg command line driver."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -365,3 +367,11 @@ def test_cli_dot_command(capsys):
     out = capsys.readouterr().out
     assert out.startswith('digraph "GC"')
     assert out.count("[label=") == 1
+
+
+def test_cli_import_leaves_networkx_out():
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, esgames.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -5,7 +5,7 @@ games and strategies deterministically, so every failure replays.
 """
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +36,7 @@ from esgames.strategies import (
     validate_two_cell,
     visible_part,
 )
+from esgames.structures import event_structure
 from esgames.testing import (
     enumerate_tests,
     finite_traces,
@@ -56,6 +57,29 @@ def test_configurations_are_downclosed_and_consistent(seed):
         assert g.es.is_configuration(x)
         for e in x:
             assert g.es.below(e) <= x
+
+
+def maximal_conflict_free_sets(events, conflicts):
+    """Brute force over every subset: the reference for maximal consistent sets."""
+    free = [frozenset(c) for r in range(len(events) + 1)
+            for c in combinations(events, r)
+            if not any({a, b} <= set(c) for a, b in conflicts)]
+    return {x for x in free if not any(x < y for y in free)}
+
+
+@st.composite
+def conflict_graphs(draw):
+    events = [f"e{i}" for i in range(draw(st.integers(0, 10)))]
+    pairs = list(combinations(events, 2))
+    return events, [p for p in pairs if draw(st.booleans())]
+
+
+@given(conflict_graphs())
+@settings(max_examples=200, deadline=None)
+def test_maximal_consistent_sets_of_binary_conflicts(graph):
+    events, conflicts = graph
+    es = event_structure(events, conflicts=conflicts)
+    assert set(es.maxcons) == maximal_conflict_free_sets(events, conflicts)
 
 
 @given(seeds)

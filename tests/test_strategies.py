@@ -12,6 +12,7 @@ from esgames.errors import (
     NotReceptive,
     PlusInnocenceViolation,
     PolarityMismatch,
+    SizeBoundExceeded,
     StoppingNotPreserved,
 )
 from esgames.games import (
@@ -24,6 +25,7 @@ from esgames.games import (
     plus_maximal_configs,
     slice_config,
 )
+from esgames.limits import EngineLimits
 from esgames.strategies import (
     BareStrategy,
     StoppingStrategy,
@@ -158,6 +160,14 @@ def test_stop_of_lamp_trio_images_agree():
         assert st.stopping == fs(fs("a"), fs("b"))
         assert st.strat.source.events == fs("a", "b")
         assert not st.strat.source.es.is_consistent({"a", "b"})
+
+
+def test_stop_of_is_kept_per_limits_so_a_smaller_cap_still_raises():
+    bs = fx.shot_or_stall()
+    assert stop_of(bs) is stop_of(bs)
+    with pytest.raises(SizeBoundExceeded) as e:
+        stop_of(bs, EngineLimits(max_configs=1))
+    assert e.value.data == {"cap": 1}
 
 
 def test_saturate_stopping():

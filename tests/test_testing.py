@@ -1,11 +1,17 @@
 """Traces, may/must verdicts, preorders, and separating-test synthesis."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgames import fixtures as fx
-from esgames.errors import GameMismatch, NotAGap
+from esgames.errors import GameMismatch, NotAGap, SizeBoundExceeded
 from esgames.games import MINUS, NEUTRAL, PLUS, Polarised, game
 from esgames.interaction import compose_stopping
+from esgames.limits import EngineLimits
+from esgames.randgen import random_game, random_in_game_strategy, random_stopping
 from esgames.strategies import (
     StoppingStrategy,
     copycat_strategy,
@@ -78,6 +84,35 @@ def test_branching_strategy_shares_traces_with_plain_one():
     a = saturate_stopping(fx.two_by_two_id())
     b = saturate_stopping(fx.two_by_two_branching())
     assert stopping_traces(a) == stopping_traces(b)
+
+
+def concurrent_moves(n):
+    """The saturated strategy playing n concurrent Player moves."""
+    moves = [f"m{i}" for i in range(n)]
+    g = game(event_structure(moves), dict.fromkeys(moves, PLUS))
+    src = Polarised(event_structure(moves), dict.fromkeys(moves, PLUS))
+    return saturate_stopping(in_game_strategy(src, g, {m: m for m in moves}))
+
+
+def test_trace_cap_is_checked_while_traces_are_generated():
+    # the one stopping configuration has 9! = 362 880 traces
+    s = concurrent_moves(9)
+    small = EngineLimits(max_configs=1000)
+    with pytest.raises(SizeBoundExceeded) as e:
+        must_preorder(s, s, small)
+    assert e.value.data == {"cap": 1000}
+    with pytest.raises(SizeBoundExceeded) as e:
+        traces_of(s.strat, max(s.stopping, key=len), small)
+    assert e.value.data == {"cap": 1000}
+
+
+def test_trace_cap_counts_distinct_traces_across_configurations():
+    # 1 + 3 + 6 + 6 = 16 distinct traces over the configurations of 3 moves
+    s = concurrent_moves(3)
+    assert len(finite_traces(s.strat, EngineLimits(max_configs=16))) == 16
+    with pytest.raises(SizeBoundExceeded) as e:
+        finite_traces(s.strat, EngineLimits(max_configs=15))
+    assert e.value.data == {"cap": 15}
 
 
 # ---- verdicts --------------------------------------------------------------
@@ -297,6 +332,67 @@ def test_unreached_player_moves_get_guarded_success_copies():
     assert not must_pass(s1, t).passed
 
 
+def player_conflict_pair():
+    """a0 -, a1 +, a2 + with a1 ~ a2; the first subject plays a2, the second
+    a1, so the gap is (a2) and the saturation holds both a1 and a2."""
+    g = game(event_structure(["a0", "a1", "a2"], conflicts=[("a1", "a2")]),
+             {"a0": MINUS, "a1": PLUS, "a2": PLUS})
+
+    def playing(move):
+        src = Polarised(event_structure(["o", "p"]), {"o": MINUS, "p": PLUS})
+        return in_game_strategy(src, g, {"o": "a0", "p": move})
+
+    return playing("a2"), playing("a1")
+
+
+def test_synthesis_keeps_the_game_conflicts_of_saturated_moves():
+    s1, s2 = player_conflict_pair()
+    ok, gap = may_preorder(s1, s2)
+    assert not ok and gap[1] == ((3, "a2"),)
+    t = synthesize_may_test(s2, gap)
+    assert not t.source.es.is_consistent({"a1", "a2"})
+    assert may_pass(s1, t).passed and not may_pass(s2, t).passed
+
+    m1, m2 = saturate_stopping(s1), saturate_stopping(s2)
+    ok, gap = must_preorder(m1, m2)
+    assert not ok and gap[1] == ((3, "a2"),)
+    t = synthesize_must_test(m2, gap)
+    assert not t.source.es.is_consistent({"a1", "a2"})
+    assert must_pass(m2, t).passed and not must_pass(m1, t).passed
+
+
+def game_with_player_conflict(rng, max_events):
+    """A random game with some conflict that touches a Player move."""
+    while True:
+        g = random_game(rng, max_events=max_events, min_events=2)
+        if any(not g.es.is_consistent({a, b})
+               for a in g.events for b in g.events
+               if a != b and PLUS in (g.pol[a], g.pol[b])):
+            return g
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_synthesis_separates_every_failing_pair_over_player_conflicts(seed):
+    rng = random.Random(seed)
+    g = game_with_player_conflict(rng, 3)
+    for _ in range(4):
+        s1 = random_in_game_strategy(rng, g)
+        s2 = random_in_game_strategy(rng, g)
+        ok, gap = may_preorder(s1, s2)
+        if not ok:
+            t = synthesize_may_test(s2, gap)
+            assert may_pass(s1, t).passed and not may_pass(s2, t).passed
+    g = game_with_player_conflict(rng, 2)
+    for _ in range(4):
+        m1 = random_stopping(rng, random_in_game_strategy(rng, g))
+        m2 = random_stopping(rng, random_in_game_strategy(rng, g))
+        ok, gap = must_preorder(m1, m2)
+        if not ok:
+            t = synthesize_must_test(m2, gap)
+            assert must_pass(m2, t).passed and not must_pass(m1, t).passed
+
+
 # ---- bounded enumeration ---------------------------------------------------
 
 
@@ -346,3 +442,25 @@ def test_enumeration_covers_every_forced_move_exactly_once():
     for t in enumerate_tests(fx.buttons(), max_events=4):
         copies = [e for e in t.source.events if t.assigned(e)[0] == 1]
         assert sorted(t.assigned(e)[1] for e in copies) == ["b1", "b2"]
+
+
+def test_equal_games_built_apart_share_their_tests():
+    def buttons(name):
+        return game(event_structure(["b1", "b2"]), {"b1": PLUS, "b2": PLUS},
+                    name=name)
+
+    one, two = buttons("left"), buttons("right")
+    first = enumerate_tests(one, max_events=3)
+    second = enumerate_tests(two, max_events=3)
+    assert first == second and first is not second
+    assert all(t.A == two for t in second)
+    first.clear()
+    assert len(enumerate_tests(one, max_events=3)) == 5
+
+
+def test_enumeration_is_keyed_on_budget_and_kind():
+    g = fx.click()
+    plain = enumerate_tests(g, max_events=2)
+    assert len(enumerate_tests(g, max_events=3)) > len(plain)
+    assert len(enumerate_tests(g, max_events=2, bare=True)) > len(plain)
+    assert enumerate_tests(g, max_events=2) == plain
