@@ -107,6 +107,18 @@ class NotEpi(EsgError):
     pass
 
 
+class BadArgument(EsgError, AssertionError):
+    """An entry point was given an argument outside what it accepts.
+
+    Also an AssertionError: these checks were asserts once, and callers may
+    still catch that.
+    """
+
+
+class EndpointMismatch(BadArgument):
+    """Two maps that should meet at one structure do not."""
+
+
 # ---- interaction -----------------------------------------------------------
 
 class ImageMismatch(EsgError):

@@ -3,7 +3,7 @@
 from graphlib import TopologicalSorter
 from itertools import product
 
-from .errors import PolarityMismatch
+from .errors import BadArgument, PolarityMismatch
 from .limits import DEFAULT_LIMITS
 from .structures import EventStructure, ESMap, ekey, event_structure, sortedevents
 
@@ -123,7 +123,8 @@ def parallel(*parts, name=""):
     """
     if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
         parts = tuple(parts[0])
-    assert parts, "parallel needs at least one component"
+    if not parts:
+        raise BadArgument("parallel needs at least one component")
     below = {}
     pol = {}
     for i, p in enumerate(parts, start=1):

@@ -13,12 +13,15 @@ tau: T -> dual(B) || N || C over the flat five component ambient
 A || M || B || N || C, with S || N || C on the left against A || M || T on the
 right. The resulting pullback is read back as a bare strategy from A to C
 whose middle is M || B0 || N, where B0 is B with every event made neutral.
-"""
 
-from graphlib import CycleError, TopologicalSorter
+Single pairs of configurations are matched without the padding: x of S and
+y of T pair exactly when their images on B agree and the two source orders,
+glued along that matching, are acyclic (see glue).
+"""
 
 from .errors import (
     Cycle,
+    EndpointMismatch,
     ImageMismatch,
     MiddleGameMismatch,
     NotRaceFree,
@@ -92,16 +95,37 @@ def _pair_order(src_left, src_right, pairs):
             if r2 in by_right:
                 pp.add(by_right[r2])
         preds[p] = pp
-    try:
-        order = list(TopologicalSorter(preds).static_order())
-    except CycleError as ce:
-        raise Cycle(f"causal cycle through {ce.args[1]}", cycle=ce.args[1])
+    return _down_closures(preds)
+
+
+def _down_closures(preds):
+    """Reflexive down-closure of each node of a relation given as node -> set
+    of predecessors. Raises Cycle when the relation is not acyclic.
+
+    Nodes are placed in rounds, each once its predecessors are; the graphs
+    met here have a handful of nodes.
+    """
     below = {}
-    for p in order:
-        b = {p}
-        for q in preds[p]:
-            b |= below[q]
-        below[p] = frozenset(b)
+    todo = list(preds)
+    while todo:
+        rest = []
+        for p in todo:
+            ps = preds[p]
+            if ps <= below.keys():
+                b = {p}
+                for q in ps:
+                    b |= below[q]
+                below[p] = frozenset(b)
+            else:
+                rest.append(p)
+        if len(rest) == len(todo):
+            # every stuck node has a stuck predecessor: walk back to a loop
+            path = [rest[0]]
+            while path.count(path[-1]) == 1:
+                path.append(next(q for q in preds[path[-1]] if q not in below))
+            cycle = path[path.index(path[-1]):]
+            raise Cycle(f"causal cycle through {cycle}", cycle=cycle)
+        todo = rest
     return below
 
 
@@ -235,7 +259,9 @@ def pullback(f, g, limits=DEFAULT_LIMITS):
     Returns (P, pi1, pi2): the event structure of primes with the projections
     sending a prime to the two halves of its top pair.
     """
-    assert f.dst == g.dst, "pullback needs a common target"
+    if f.dst != g.dst:
+        raise EndpointMismatch("pullback needs a common target",
+                               left=f.dst, right=g.dst)
     pb = _enumerate_pullback(f.src, dict(f.mapping), g.src, dict(g.mapping),
                              limits)
     pi1 = ESMap(pb.es, f.src, {p: prime_top(p)[0] for p in pb.es.events})
@@ -352,37 +378,74 @@ def compose(sigma, tau, limits=DEFAULT_LIMITS, name=""):
 # ---- configuration-level pairing ---------------------------------------------------
 
 
+def glue(sigma, tau, x, y):
+    """The order glued from x and y along their common image on B.
+
+    x is a configuration of sigma: S -> dual(A) || M || B, y one of
+    tau: T -> dual(B) || N || C. Every event stands for the pair it forms in
+    the padded pullback: ((1, s), a) for s of x playing a in A or M,
+    ((2, n), (3, t)) or ((3, c), (3, t)) for t of y playing n in N or c in C,
+    and one pair ((1, s), (3, t)) for the two events that play the same move
+    of B. Returns each pair's reflexive down-closure under the order that S
+    generates inside x and T inside y, or None when the images on B differ
+    or that order has a cycle.
+
+    The moves of A, M, N and C that the padding copies add no order: a total
+    map reflects its target's order inside a configuration, so their edges
+    are already among the source's own.
+    """
+    smap, tmap = sigma.sigma.mapping, tau.sigma.mapping
+    pair_of_s, s_on_b = {}, {}
+    for s in x:
+        u = smap[s]
+        if u[0] == 3:
+            if u[1] in s_on_b:
+                return None
+            s_on_b[u[1]] = s
+        else:
+            pair_of_s[s] = ((1, s), u)
+    pair_of_t = {}
+    for t in y:
+        j, u = tmap[t]
+        if j == 1:
+            s = s_on_b.pop(u, None)
+            if s is None:
+                return None
+            pair_of_s[s] = pair_of_t[t] = ((1, s), (3, t))
+        else:
+            pair_of_t[t] = ((j, u), (3, t))
+    if s_on_b:
+        return None
+
+    sbelow, tbelow = sigma.source.es.below, tau.source.es.below
+    preds = {p: {pair_of_s[d] for d in sbelow(s) if d != s}
+             for s, p in pair_of_s.items()}
+    for t, p in pair_of_t.items():
+        preds.setdefault(p, set()).update(
+            pair_of_t[d] for d in tbelow(t) if d != t)
+    try:
+        return _down_closures(preds)
+    except Cycle:
+        return None
+
+
 def pair_configs(sigma, tau, x, y, limits=DEFAULT_LIMITS, padding=None):
     """The interaction and composition configurations induced by x and y.
 
     x is a configuration of sigma's source, y of tau's source. Returns
     (interaction_config, visible_config) as sets of primes of
-    interact(sigma, tau), or None when the pairing is undefined: the padded
-    images differ, or matching them creates a causal cycle.
+    interact(sigma, tau), or None when the pairing is undefined: the images
+    on the middle game differ, or matching them creates a causal cycle.
+    padding is accepted for callers of the padded construction and unused.
     """
-    if padding is None:
-        padding = _padding(sigma, tau)
-    left, right, lmap, rmap = padding
-
-    tau_img = tau.sigma.image(y)
-    xl = {(1, s) for s in x}
-    xl |= {(2, payload(u)) for u in tau_img if component(u) == 2}
-    xl |= {(3, payload(u)) for u in tau_img if component(u) == 3}
-
-    sig_img = sigma.sigma.image(x)
-    yr = {u for u in sig_img if component(u) in (1, 2)}
-    yr |= {(3, t) for t in y}
-
-    f = ESMap(left.es, None, lmap)
-    g = ESMap(right.es, None, rmap)
-    try:
-        theta = secured_bijection(f, g, xl, yr)
-    except (ImageMismatch, Cycle):
+    below = glue(sigma, tau, x, y)
+    if below is None:
         return None
-
-    inter = frozenset(prime_event(theta.below(p), p) for p in theta.pairs)
+    inter = frozenset(prime_event(b, p) for p, b in below.items())
+    # visible primes play in A, paired on the right with (1, a), or in C,
+    # paired on the left with (3, c)
     vis = frozenset(e for e in inter
-                    if component(lmap[prime_top(e)[0]]) in (1, 5))
+                    if prime_top(e)[1][0] == 1 or prime_top(e)[0][0] == 3)
     return inter, vis
 
 
@@ -397,31 +460,28 @@ def _assert_race_free(*gs):
                               game=g, witness=wit)
 
 
+def _stopping_pairings(s, t, limits):
+    """pair_configs of every stopping x of s and stopping y of t that meet on
+    the middle game; only pairs with equal images on it are tried."""
+    _assert_race_free(s.strat.A, s.strat.B, t.strat.B)
+    by_image = s.stopping_by_image()
+    for y in t.sorted_stopping():
+        for x in by_image.get(t.strat.image_on(1, y), ()):
+            got = pair_configs(s.strat, t.strat, x, y, limits)
+            if got is not None:
+                yield got
+
+
 def interact_stopping(s, t, limits=DEFAULT_LIMITS):
     """Interaction of stopping strategies: pair the stopping sets."""
-    _assert_race_free(s.strat.A, s.strat.B, t.strat.B)
-    inter = interact(s.strat, t.strat, limits)
-    padding = _padding(s.strat, t.strat)
-    stopping = set()
-    for x in s.sorted_stopping():
-        for y in t.sorted_stopping():
-            got = pair_configs(s.strat, t.strat, x, y, limits, padding)
-            if got is not None:
-                stopping.add(got[0])
-    return inter, frozenset(stopping)
+    stopping = frozenset(got[0] for got in _stopping_pairings(s, t, limits))
+    return interact(s.strat, t.strat, limits), stopping
 
 
 def compose_stopping(s, t, limits=DEFAULT_LIMITS, name=""):
     """Composition of stopping strategies: hide, pairing the stopping sets."""
-    _assert_race_free(s.strat.A, s.strat.B, t.strat.B)
+    stopping = {got[1] for got in _stopping_pairings(s, t, limits)}
     comp = compose(s.strat, t.strat, limits, name=name)
-    padding = _padding(s.strat, t.strat)
-    stopping = set()
-    for x in s.sorted_stopping():
-        for y in t.sorted_stopping():
-            got = pair_configs(s.strat, t.strat, x, y, limits, padding)
-            if got is not None:
-                stopping.add(got[1])
     return StoppingStrategy(comp, stopping, name=name or comp.name)
 
 

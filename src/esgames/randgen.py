@@ -149,9 +149,10 @@ def random_in_game_strategy(rng, g, limits=DEFAULT_LIMITS):
     return random_strategy(rng, EMPTY, g, limits)
 
 
-def random_bare(rng, A, B, max_neutrals=2, limits=DEFAULT_LIMITS):
+def random_bare(rng, A, B, max_neutrals=2, limits=DEFAULT_LIMITS,
+                min_neutrals=0):
     """A valid bare strategy from A to B with a small neutral middle."""
-    k = rng.randint(0, max_neutrals)
+    k = rng.randint(min_neutrals, max_neutrals)
     middle_events = [f"n{i}" for i in range(k)]
     middle = Polarised(event_structure(middle_events),
                        {m: NEUTRAL for m in middle_events})

@@ -9,6 +9,7 @@ event itself was. Two events with equal records become one.
 
 from dataclasses import dataclass, field
 
+from .errors import BadArgument
 from .games import Polarised, is_plus_maximal
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, strategy
@@ -62,7 +63,8 @@ def rigid_image(sigma, limits=DEFAULT_LIMITS):
     Returns (sigma0, f): sigma0 plays one event per distinct history, f sends
     each source event to its history and is a rigid epi 2-cell onto sigma0.
     """
-    assert sigma.is_strategy, "rigid_image expects a neutral-free strategy"
+    if not sigma.is_strategy:
+        raise BadArgument("rigid_image expects a neutral-free strategy")
     f = {s: prime_of(sigma, s) for s in sigma.source.events}
     events = set(f.values())
     causes = [(p, q) for q in events for p in events

@@ -10,6 +10,7 @@ component typing with an empty middle, so target tags are uniformly
 """
 
 from .errors import (
+    BadArgument,
     GameMismatch,
     InvalidStructure,
     MapNotTotal,
@@ -33,7 +34,6 @@ from .games import (
     copycat,
     dual,
     is_plus_maximal,
-    minus_subset,
     parallel,
     plus_maximal_configs,
     plus_subset,
@@ -55,6 +55,7 @@ class BareStrategy:
                                name=f"target({name})" if name else "")
         self.sigma = ESMap(source.es, self.target.es, assign)
         self._stop_of = {}  # limits -> stop_of(self, limits)
+        self._by_image = {}  # limits -> configurations_by_image(limits)
 
     @property
     def is_strategy(self):
@@ -67,10 +68,31 @@ class BareStrategy:
     def image(self, x):
         return self.sigma.image(x)
 
+    def image_on(self, side, x):
+        """The moves x plays in one game: side 1 for A, side 3 for B."""
+        m = self.sigma.mapping
+        return frozenset(u for j, u in map(m.__getitem__, x) if j == side)
+
+    def configurations_by_image(self, limits=DEFAULT_LIMITS):
+        """Source configurations grouped by their image on B, each group
+        smallest first; derived once per limits."""
+        got = self._by_image.get(limits)
+        if got is None:
+            got = _group_by_image(self, self.source.configurations(limits))
+            self._by_image[limits] = got
+        return got
+
     def __repr__(self):
         nm = self.name or "bare"
         return (f"<{nm}: {len(self.source.events)} source events ->"
                 f" {len(self.A.events)}|{len(self.N.events)}|{len(self.B.events)}>")
+
+
+def _group_by_image(bs, configs):
+    groups = {}
+    for x in configs:
+        groups.setdefault(bs.image_on(3, x), []).append(x)
+    return {b: tuple(xs) for b, xs in groups.items()}
 
 
 def bare_strategy(source, game_a, middle, game_b, assign, name="",
@@ -111,7 +133,12 @@ def in_game_bare(source, middle, g, assign, name="", limits=DEFAULT_LIMITS):
 
 
 def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
-    """All defining clauses, checked exhaustively. Returns diagnostics."""
+    """All defining clauses; returns diagnostics.
+
+    The map is checked on every source configuration, receptivity on every
+    single Opponent extension of every image, innocence on every immediate
+    causal pair.
+    """
     diags = []
     if set(bs.N.pol.values()) - {NEUTRAL}:
         diags.append(PolarityMismatch("middle must be all neutral"))
@@ -136,22 +163,32 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
     if diags:
         return diags
 
-    src_configs = bs.source.configurations(limits)
-    by_image = {}
-    for x in src_configs:
-        by_image.setdefault(bs.image(x), []).append(x)
-
-    tgt_configs = bs.target.configurations(limits)
-    for x in src_configs:
+    # Receptivity, one Opponent move at a time (Castellan, Clairambault,
+    # Rideau, Winskel, LMCS 2017): every Opponent extension a of an image
+    # lifts to exactly one extension of x. Given -innocence, checked below,
+    # this implies the clause for any Opponent extension: the minimal new
+    # events of a lifting have their causes in x, so it is built one step at
+    # a time, and uniquely.
+    src, tgt = bs.source.es, bs.target.es
+    opponent = sortedevents(bs.target.events_with(MINUS))
+    src_opponent = bs.source.events_with(MINUS)
+    for x in bs.source.configurations(limits):
         sx = bs.image(x)
-        for y in tgt_configs:
-            if not minus_subset(bs.target, sx, y):
+        lifts = {}
+        for s in src_opponent - x:
+            if src.below(s) - {s} <= x and src.is_consistent(x | {s}):
+                a = bs.sigma.mapping[s]
+                lifts[a] = lifts.get(a, 0) + 1
+        for a in opponent:
+            if a in sx or not tgt.below(a) - {a} <= sx \
+                    or not tgt.is_consistent(sx | {a}):
                 continue
-            lifts = [x2 for x2 in by_image.get(y, ()) if x <= x2]
-            if len(lifts) != 1:
+            count = lifts.get(a, 0)
+            if count != 1:
+                y = sx | {a}
                 diags.append(NotReceptive(
-                    f"{len(lifts)} liftings of {sortedevents(y)} over"
-                    f" {sortedevents(x)}", x=x, y=y, count=len(lifts)))
+                    f"{count} liftings of {sortedevents(y)} over"
+                    f" {sortedevents(x)}", x=x, y=y, count=count))
 
     timm = bs.target.es.immediate_pairs()
     for s, s2 in sorted(bs.source.es.immediate_pairs(),
@@ -209,12 +246,20 @@ class StoppingStrategy:
                 member=x) for x in bad])
         self.stopping = stopping
         self._sorted = None
+        self._by_image = None
 
     def sorted_stopping(self):
         """The stopping configurations, smallest first, as a tuple."""
         if self._sorted is None:
             self._sorted = tuple(sorted(self.stopping, key=cfgkey))
         return self._sorted
+
+    def stopping_by_image(self):
+        """The stopping configurations grouped by their image on B, each
+        group smallest first."""
+        if self._by_image is None:
+            self._by_image = _group_by_image(self.strat, self.sorted_stopping())
+        return self._by_image
 
     def __repr__(self):
         nm = self.name or "stopping"
@@ -242,7 +287,8 @@ def stop_of(bs, limits=DEFAULT_LIMITS):
 
 def saturate_stopping(st, limits=DEFAULT_LIMITS):
     """The stopping data a neutral-free strategy induces on its own."""
-    assert st.is_strategy, "saturate_stopping expects a strategy"
+    if not st.is_strategy:
+        raise BadArgument("saturate_stopping expects a neutral-free strategy")
     return StoppingStrategy(st, set(plus_maximal_configs(st.source, limits)),
                             name=f"sat({st.name})" if st.name else "")
 
@@ -274,7 +320,11 @@ def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
 
     kind: plain | stopping | plus_reflecting | rigid_epi. Returns diagnostics.
     """
-    assert kind in ("plain", "stopping", "plus_reflecting", "rigid_epi")
+    if kind not in ("plain", "stopping", "plus_reflecting", "rigid_epi"):
+        raise BadArgument(f"unknown 2-cell kind {kind!r}", kind=kind)
+    if kind == "stopping" and not (isinstance(src, StoppingStrategy)
+                                   and isinstance(dst, StoppingStrategy)):
+        raise BadArgument("a stopping 2-cell joins two stopping strategies")
     bsrc, bdst = _strat_of(src), _strat_of(dst)
     diags = []
     if not same_signature(src, dst):
@@ -302,7 +352,6 @@ def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
         return diags
 
     if kind == "stopping":
-        assert isinstance(src, StoppingStrategy) and isinstance(dst, StoppingStrategy)
         for x in src.sorted_stopping():
             if f.image(x) not in dst.stopping:
                 diags.append(StoppingNotPreserved(

@@ -12,6 +12,7 @@ from itertools import combinations
 from .errors import (
     ConsistencyNotDownClosed,
     CycleInCause,
+    EndpointMismatch,
     ImageNotConfiguration,
     InconsistentSingleton,
     InvalidStructure,
@@ -367,7 +368,9 @@ class ESMap:
 
     def then(self, other):
         """Composition: self followed by other."""
-        assert self.dst == other.src, "composition endpoint mismatch"
+        if self.dst != other.src:
+            raise EndpointMismatch("composition endpoint mismatch",
+                                   left=self.dst, right=other.src)
         m = {e: other.mapping[v] for e, v in self.mapping.items()
              if v in other.mapping}
         return ESMap(self.src, other.dst, m)

@@ -12,11 +12,11 @@ from itertools import combinations, combinations_with_replacement
 from .errors import GameMismatch, InvalidStructure, NotAGap, SizeBoundExceeded
 from .games import (MINUS, NEUTRAL, PLUS, Polarised, component, dual, game,
                     payload)
-from .interaction import _padding, pair_configs
+from .interaction import glue
 from .limits import DEFAULT_LIMITS
 from .strategies import (BareStrategy, StoppingStrategy, bare_strategy,
                          stop_of, strategy, visible_part)
-from .structures import ekey, event_structure
+from .structures import ekey, event_structure, sortedevents
 
 TICK = "tick"
 
@@ -139,17 +139,21 @@ def _ticks(bs, y):
 
 
 def may_pass(subject, test, limits=DEFAULT_LIMITS):
-    """Some pairing of configurations reaches the success move."""
+    """Some pairing of configurations reaches the success move.
+
+    A test configuration is tried only against the subject configurations
+    with the same image on the game, in configuration order, so the witness
+    is the least such pairing.
+    """
     sub = _as_stopping(subject, limits)
     _check_test_shape(sub, test)
     tvis = _visible(test)
-    pad = _padding(sub.strat, tvis)
-    xs = sub.strat.source.configurations(limits)
+    by_image = sub.strat.configurations_by_image(limits)
     for y in tvis.source.configurations(limits):
         if not _ticks(tvis, y):
             continue
-        for x in xs:
-            if pair_configs(sub.strat, tvis, x, y, limits, pad) is not None:
+        for x in by_image.get(tvis.image_on(1, y), ()):
+            if glue(sub.strat, tvis, x, y) is not None:
                 return Verdict(True, (x, y))
     return Verdict(False)
 
@@ -159,17 +163,18 @@ def must_pass(subject, test, limits=DEFAULT_LIMITS):
 
     Both sides are taken at their stopping sets; the test's is derived with
     stop_of. A pairing of stopping configurations whose test half lacks the
-    success move is the returned counterexample.
+    success move is the returned counterexample; as in may_pass, only
+    configurations with the same image on the game are paired.
     """
     sub = _as_stopping(subject, limits)
     _check_test_shape(sub, test)
     tstop = stop_of(test, limits)
-    pad = _padding(sub.strat, tstop.strat)
+    by_image = sub.stopping_by_image()
     for y in tstop.sorted_stopping():
         if _ticks(tstop.strat, y):
             continue
-        for x in sub.sorted_stopping():
-            if pair_configs(sub.strat, tstop.strat, x, y, limits, pad) is not None:
+        for x in by_image.get(tstop.strat.image_on(1, y), ()):
+            if glue(sub.strat, tstop.strat, x, y) is not None:
                 return Verdict(False, (x, y))
     return Verdict(True)
 
@@ -254,7 +259,8 @@ def _reversal_edges(v2, configs, t1, pos, limits):
 
     The chosen pair puts the image of a Player event before the image of the
     Opponent event that enables it, so the test's order disagrees with every
-    such configuration at once.
+    such configuration at once. Raises NotAGap when one of them has no such
+    pair, as its order then allows the trace.
     """
     edges = set()
     immediate = v2.source.es.immediate_pairs()
@@ -268,7 +274,9 @@ def _reversal_edges(v2, configs, t1, pos, limits):
                 key = (pos[payload(v2.assigned(sp))], pos[payload(v2.assigned(s))])
                 if key[0] < key[1] and (best is None or key < best):
                     best = key
-        assert best is not None, "every matching configuration must disagree"
+        if best is None:
+            raise NotAGap(f"configuration {sortedevents(x2)} allows the order"
+                          " of the trace", config=x2)
         edges.add((best[0], best[1]))
     return edges
 

@@ -375,3 +375,11 @@ def test_cli_import_leaves_networkx_out():
     out = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
                          capture_output=True, text=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_strategy_only_commands_refuse_bare_tests(capsys):
+    # TAU has a neutral event: a usage error with a message, exit code 2
+    for command in ("saturate", "rigid-image"):
+        assert run("-f", NEUTRAL, command, "TAU") == 2
+        assert "neutral-free strategy" in capsys.readouterr().err
+

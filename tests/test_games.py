@@ -2,7 +2,7 @@
 
 import pytest
 
-from esgames.errors import PolarityMismatch
+from esgames.errors import BadArgument, PolarityMismatch
 from esgames.games import (
     EMPTY,
     MINUS,
@@ -204,3 +204,10 @@ def test_copycat_configurations_match_scott_order():
                 if scott_leq(g, y, x):
                     want.add(frozenset({(1, e) for e in x} | {(2, e) for e in y}))
         assert got == want
+
+
+def test_parallel_of_nothing_is_refused():
+    with pytest.raises(BadArgument):
+        parallel()
+    with pytest.raises(BadArgument):
+        parallel([])

@@ -3,7 +3,8 @@
 import pytest
 
 from esgames import fixtures as fx
-from esgames.errors import Cycle, ImageMismatch, MiddleGameMismatch, NotRaceFree
+from esgames.errors import (Cycle, EndpointMismatch, ImageMismatch,
+                            MiddleGameMismatch, NotRaceFree)
 from esgames.games import (
     EMPTY,
     MINUS,
@@ -345,3 +346,12 @@ def test_two_cell_transport_pointwise():
                                  frozenset(f[s] for s in x), y)
             assert moved is not None
             assert frozenset(mapping[p] for p in got[0]) == moved[0]
+
+
+def test_pullback_needs_a_common_target():
+    resp = fx.responder().source.es
+    dem = fx.demander().source.es
+    f = ESMap(resp, fx.handshake().es, {"r": "req", "s": "ack"})
+    g = ESMap(dem, fx.buttons().es, {"x": "b1", "y": "b2"})
+    with pytest.raises(EndpointMismatch):
+        pullback(f, g)

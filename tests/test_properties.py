@@ -7,22 +7,36 @@ games and strategies deterministically, so every failure replays.
 import random
 from itertools import combinations, permutations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esgames import fixtures as fx
+from esgames.errors import Cycle, ImageMismatch, InvalidStructure, NotReceptive
 from esgames.games import (
     MINUS,
+    NEUTRAL,
     PLUS,
+    Polarised,
     copycat,
     is_deterministic,
     is_race_free,
+    minus_subset,
     parallel,
     plus_maximal_configs,
     scott_leq,
     slice_config,
 )
+from esgames.interaction import (
+    _padding,
+    glue,
+    pair_configs,
+    prime_event,
+    prime_top,
+    secured_bijection,
+)
 from esgames.randgen import (
+    _random_source,
+    _target_shape,
     random_bare,
     random_game,
     random_in_game_strategy,
@@ -31,13 +45,18 @@ from esgames.randgen import (
 )
 from esgames.rigid import rigid_image_stopping
 from esgames.strategies import (
+    BareStrategy,
+    StoppingStrategy,
     saturate_stopping,
     stop_of,
+    validate_bare_strategy,
     validate_two_cell,
     visible_part,
 )
-from esgames.structures import event_structure
+from esgames.structures import ESMap, event_structure
 from esgames.testing import (
+    TICK,
+    Verdict,
     enumerate_tests,
     finite_traces,
     may_pass,
@@ -210,3 +229,155 @@ def test_interaction_stopping_pairs_are_stopping_interactions(seed):
               for x in sst.sorted_stopping() for y in tst.sorted_stopping()
               if (got := pair_configs(s, t, x, y)) is not None}
     assert comp.stopping == paired
+
+
+# ---- the matcher, pairing by image, and one-step receptivity against their
+# exhaustive forms ---------------------------------------------------------------
+
+
+def padded_pair_configs(sigma, tau, x, y, padding):
+    """pair_configs the long way: a secured bijection between x and y padded
+    into A || M || B || N || C, as the pullback of interact sees them."""
+    left, right, lmap, rmap = padding
+    xl = {(1, s) for s in x} | {u for u in tau.image(y) if u[0] in (2, 3)}
+    yr = {u for u in sigma.image(x) if u[0] in (1, 2)} | {(3, t) for t in y}
+    try:
+        theta = secured_bijection(ESMap(left.es, None, lmap),
+                                  ESMap(right.es, None, rmap), xl, yr)
+    except (ImageMismatch, Cycle):
+        return None
+    inter = frozenset(prime_event(theta.below(p), p) for p in theta.pairs)
+    vis = frozenset(e for e in inter if lmap[prime_top(e)[0]][0] in (1, 5))
+    return inter, vis
+
+
+@given(seeds)
+@example(33)  # equal images on B whose gluing is cyclic, 12 pairs of them
+@settings(max_examples=30, deadline=None)
+def test_glue_is_the_padded_secured_bijection(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_game(rng, 2, name=n) for n in "ABC")
+    sigma = random_bare(rng, a, b, min_neutrals=1)
+    tau = random_bare(rng, b, c, min_neutrals=1)
+    assert a.events and sigma.N.events and tau.N.events and c.events
+    padding = _padding(sigma, tau)
+    for x in sigma.source.configurations():
+        for y in tau.source.configurations():
+            want = padded_pair_configs(sigma, tau, x, y, padding)
+            below = glue(sigma, tau, x, y)
+            assert (below is None) == (want is None), (x, y)
+            if want is not None:
+                assert frozenset(prime_event(b, p)
+                                 for p, b in below.items()) == want[0]
+            assert pair_configs(sigma, tau, x, y) == want
+
+
+def all_pairs_verdict(kind, subject, test):
+    """may_pass or must_pass trying every pair of configurations."""
+    sub = subject if isinstance(subject, StoppingStrategy) else stop_of(subject)
+    if kind == "may":
+        t = test if test.is_strategy else visible_part(test)[0]
+        ys = t.source.configurations()
+        xs = sub.strat.source.configurations()
+    else:
+        t = stop_of(test).strat
+        ys = stop_of(test).sorted_stopping()
+        xs = sub.sorted_stopping()
+    padding = _padding(sub.strat, t)
+    for y in ys:
+        if any(t.assigned(e) == (3, TICK) for e in y) != (kind == "may"):
+            continue
+        for x in xs:
+            if padded_pair_configs(sub.strat, t, x, y, padding) is not None:
+                return Verdict(kind == "may", (x, y))
+    return Verdict(kind != "may")
+
+
+@given(seeds)
+@settings(max_examples=15, deadline=None)
+def test_test_runs_pair_by_image_as_all_pairs_do(seed):
+    rng = random.Random(seed)
+    g = random_game(rng, 2)
+    for t in enumerate_tests(g, 3):
+        for _ in range(2):
+            s = random_in_game_strategy(rng, g)
+            assert may_pass(s, t) == all_pairs_verdict("may", s, t)
+    for t in enumerate_tests(g, 3, bare=True):
+        s = random_stopping(rng, random_in_game_strategy(rng, g))
+        assert must_pass(s, t) == all_pairs_verdict("must", s, t)
+
+
+def receptive_exhaustively(bs):
+    """Receptivity as first stated: every Opponent extension y of an image,
+    of any size, lifts to exactly one extension of the configuration."""
+    configs = bs.source.configurations()
+    by_image = {}
+    for x in configs:
+        by_image.setdefault(bs.image(x), []).append(x)
+    targets = bs.target.configurations()
+    return all(
+        sum(1 for x2 in by_image.get(y, ()) if x <= x2) == 1
+        for x in configs for y in targets
+        if minus_subset(bs.target, bs.image(x), y))
+
+
+def candidate_bare(rng, A, B, middle_events):
+    """A bare strategy as randgen shapes it, often broken on purpose: an
+    Opponent move dropped, or copied with or without a conflict."""
+    middle = Polarised(event_structure(middle_events),
+                       {m: NEUTRAL for m in middle_events})
+    tpol, torder, tclashes = _target_shape(A, middle_events, B)
+    events, causes, conflicts, pol, assign = _random_source(
+        rng, tpol, torder, tclashes)
+    opponent = [e for e in events if pol[e] == MINUS]
+    if opponent and rng.random() < 0.5:
+        m = rng.choice(opponent)
+        if rng.random() < 0.5:
+            events.remove(m)
+            causes = [c for c in causes if m not in c]
+            conflicts = [c for c in conflicts if m not in c]
+        else:
+            d = ("copy", m)
+            events.append(d)
+            pol[d], assign[d] = MINUS, assign[m]
+            causes += [(c, d) for c, e in causes if e == m]
+            if rng.random() < 0.7:
+                conflicts.append((m, d))
+    try:
+        src = Polarised(event_structure(events, causes, conflicts),
+                        {e: pol[e] for e in events})
+    except InvalidStructure:
+        return None
+    return BareStrategy(src, A, middle, B, {e: assign[e] for e in events})
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_one_step_receptivity_is_the_exhaustive_clause(seed):
+    rng = random.Random(seed)
+    a, b = random_game(rng, 2), random_game(rng, 3)
+    bs = candidate_bare(rng, a, b, ["n0"] if rng.random() < 0.5 else [])
+    if bs is None:
+        return
+    diags = validate_bare_strategy(bs)
+    others = [d for d in diags if not isinstance(d, NotReceptive)]
+    assert (not diags) == (not others and receptive_exhaustively(bs))
+
+
+def test_receptivity_candidates_are_both_valid_and_invalid():
+    # the candidates above reach every outcome the oracle must agree on
+    outcomes = set()
+    for seed in range(40):
+        rng = random.Random(seed)
+        a, b = random_game(rng, 2), random_game(rng, 3)
+        bs = candidate_bare(rng, a, b, ["n0"] if rng.random() < 0.5 else [])
+        if bs is None:
+            continue
+        diags = validate_bare_strategy(bs)
+        if not diags:
+            outcomes.add("valid")
+        elif all(isinstance(d, NotReceptive) for d in diags):
+            outcomes.add("not receptive")
+        else:
+            outcomes.add("otherwise invalid")
+    assert outcomes == {"valid", "not receptive", "otherwise invalid"}

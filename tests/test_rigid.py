@@ -3,6 +3,7 @@
 import pytest
 
 from esgames import fixtures as fx
+from esgames.errors import BadArgument
 from esgames.rigid import (
     DOMINATED_MAXIMAL_NOT_STOPPING,
     NO_STOPPING_EXTENSION,
@@ -169,3 +170,8 @@ def test_stopping_images_transport_pointwise():
     ri = rigid_image_stopping(st)
     _, f = rigid_image(st.strat)
     assert ri.stopping == {frozenset(f[s] for s in y) for y in st.stopping}
+
+
+def test_rigid_image_refuses_bare_strategies():
+    with pytest.raises(BadArgument):
+        rigid_image(fx.shot_after_step())

@@ -4,6 +4,7 @@ import pytest
 
 from esgames import fixtures as fx
 from esgames.errors import (
+    BadArgument,
     InvalidStructure,
     MinusInnocenceViolation,
     NotAConfiguration,
@@ -268,3 +269,39 @@ def test_two_cell_visible_functoriality():
     for x in src.source.configurations():
         img = frozenset(f[e] for e in x)
         assert fv.image(down_src(x)) == down_dst(img)
+
+
+def test_receptivity_is_reported_one_opponent_move_at_a_time():
+    # m1 is covered, the concurrent m2 never is: each diagnostic names the
+    # image grown by the single Opponent move that fails to lift
+    g = game(event_structure(["m1", "m2"]), {"m1": MINUS, "m2": MINUS})
+    src = Polarised(event_structure(["r1"]), {"r1": MINUS})
+    cand = BareStrategy(src, EMPTY, EMPTY, g, {"r1": (3, "m1")})
+    diags = [d for d in validate_bare_strategy(cand)
+             if isinstance(d, NotReceptive)]
+    assert {(d.data["x"], d.data["y"]) for d in diags} == {
+        (fs(), fs((3, "m2"))),
+        (fs("r1"), fs((3, "m1"), (3, "m2"))),
+    }
+    for d in diags:
+        assert d.data["count"] == 0
+        assert cand.image(d.data["x"]) < d.data["y"]
+        assert len(d.data["y"] - cand.image(d.data["x"])) == 1
+
+
+def test_saturate_stopping_refuses_bare_strategies():
+    with pytest.raises(BadArgument):
+        saturate_stopping(fx.shot_after_step())
+
+
+def test_two_cell_kind_and_stopping_endpoints_are_checked():
+    f = {"s": "s2"}
+    small, big = fx.press_b2(), fx.press_either()
+    with pytest.raises(BadArgument):
+        validate_two_cell(f, small, big, kind="lax")
+    with pytest.raises(BadArgument):
+        validate_two_cell(f, small, big, kind="stopping")
+    with pytest.raises(BadArgument):
+        validate_two_cell(f, saturate_stopping(small), big, kind="stopping")
+    assert validate_two_cell(f, saturate_stopping(small),
+                             saturate_stopping(big), kind="stopping") == []

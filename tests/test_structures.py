@@ -5,6 +5,7 @@ import pytest
 from esgames.errors import (
     ConsistencyNotDownClosed,
     CycleInCause,
+    EndpointMismatch,
     InconsistentSingleton,
     InvalidStructure,
     SearchBudgetExceeded,
@@ -229,3 +230,12 @@ def test_iso_budget():
     e2 = event_structure(list("uvwxyz"))
     with pytest.raises(SearchBudgetExceeded):
         find_isomorphism(e1, e2, budget=0)
+
+
+def test_map_composition_needs_meeting_endpoints():
+    a = event_structure(["a"])
+    b = event_structure(["b"])
+    f = ESMap(a, b, {"a": "b"})
+    assert f.then(ESMap(b, a, {"b": "a"})).mapping == {"a": "a"}
+    with pytest.raises(EndpointMismatch):
+        f.then(ESMap(a, b, {"a": "b"}))

@@ -464,3 +464,35 @@ def test_enumeration_is_keyed_on_budget_and_kind():
     assert len(enumerate_tests(g, max_events=3)) > len(plain)
     assert len(enumerate_tests(g, max_events=2, bare=True)) > len(plain)
     assert enumerate_tests(g, max_events=2) == plain
+
+
+def test_synthesis_refuses_a_trace_the_order_allows():
+    # (b, a) is no trace of the chain a < b, yet the one configuration with
+    # that image holds no Opponent move to reverse against
+    g = game(event_structure(["a", "b"], causes=[("a", "b")]),
+             {"a": PLUS, "b": PLUS})
+    src = Polarised(event_structure(["sa", "sb"], causes=[("sa", "sb")]),
+                    {"sa": PLUS, "sb": PLUS})
+    s2 = in_game_strategy(src, g, {"sa": "a", "sb": "b"})
+    with pytest.raises(NotAGap):
+        synthesize_may_test(s2, (frozenset(), ((3, "b"), (3, "a"))))
+
+
+def test_must_synthesis_separates_saturated_concurrent_moves():
+    # all n concurrent Player moves against the variant missing one: the
+    # synthesised test's target has a configuration per subset of the moves
+    # and more, which validating the test must not visit one by one
+    n = 5
+    moves = [f"p{i}" for i in range(n)]
+    g = game(event_structure(moves), {m: PLUS for m in moves})
+
+    def saturated(k):
+        src = Polarised(event_structure(moves[:k]), {m: PLUS for m in moves[:k]})
+        return saturate_stopping(
+            in_game_strategy(src, g, {m: m for m in moves[:k]}))
+
+    s1, s2 = saturated(n), saturated(n - 1)
+    ok, gap = must_preorder(s1, s2)
+    assert not ok
+    t = synthesize_must_test(s2, gap)
+    assert must_pass(s2, t) and not must_pass(s1, t)
