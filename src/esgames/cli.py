@@ -18,7 +18,7 @@ from .limits import DEFAULT_LIMITS
 from .rigid import rigid_image, rigid_image_stopping
 from .strategies import (BareStrategy, StoppingStrategy, copycat_strategy,
                          saturate_stopping, stop_of)
-from .structures import cfgkey, event_structure, sortedevents
+from .structures import event_structure, sortedevents
 from .testing import (find_gap, may_pass, may_preorder, must_pass,
                       must_preorder, synthesize_may_test, synthesize_must_test)
 
@@ -193,7 +193,7 @@ def _cmd_configs(ws, args, limits):
     if d.kind == "map":
         raise ParseError("configs expects a structure or strategy name")
     names = _naming(pg.events)
-    for x in sorted(pg.configurations(limits), key=lambda c: (len(c), cfgkey(c))):
+    for x in pg.configurations(limits):
         print(_fmt_config(x, names))
     return 0
 

@@ -22,7 +22,7 @@ from .errors import EsgError, InvalidStructure, ParseError
 from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, bare_strategy, strategy
-from .structures import ESMap, cfgkey, ekey, event_structure, sortedevents, validate_map
+from .structures import ESMap, ekey, event_structure, sortedevents, validate_map
 from .testing import TICK, success_game
 
 _ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -478,7 +478,7 @@ def _print_body(out, pg, names, indent="  "):
         for (a, b) in pairs:
             out.append(f"{indent}conflict {names[a]} ~ {names[b]};")
     else:
-        for m in sorted(es.maxcons, key=cfgkey):
+        for m in es.maxcons:
             inner = " ".join(names[e] for e in sortedevents(m))
             out.append(f"{indent}consistent {{ {inner} }};")
 
@@ -517,7 +517,7 @@ def print_workspace(ws):
             names = _naming(inner.obj.source.events)
             out.append(f"stopping {d.name} {{")
             out.append(f"  strategy {d.ref};")
-            for y in sorted(d.obj.stopping, key=cfgkey):
+            for y in d.obj.sorted_stopping():
                 body = " ".join(names[e] for e in sortedevents(y))
                 out.append(f"  stop {{ {body} }};" if body
                            else "  stop { };")

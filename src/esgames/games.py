@@ -1,11 +1,11 @@
 """Polarity, games, duality, parallel composition, and the copycat construction."""
 
-from graphlib import TopologicalSorter
 from itertools import product
 
 from .errors import BadArgument, PolarityMismatch
 from .limits import DEFAULT_LIMITS
-from .structures import EventStructure, ESMap, ekey, event_structure, sortedevents
+from .structures import (EventStructure, ESMap, event_structure,
+                         reflexive_closures, sortedevents)
 
 PLUS = "+"
 MINUS = "-"
@@ -234,13 +234,7 @@ def copycat(A, name=""):
         else:
             preds[(1, a)].add((2, a))
 
-    order = list(TopologicalSorter(preds).static_order())
-    below = {}
-    for te in order:
-        b = {te}
-        for p in preds[te]:
-            b |= below[p]
-        below[te] = frozenset(b)
+    below = reflexive_closures(preds)
 
     maxcons = set()
     for m1 in A.es.maxcons:

@@ -40,7 +40,8 @@ from .games import (
 )
 from .limits import DEFAULT_LIMITS
 from .strategies import BareStrategy, StoppingStrategy, visible_part
-from .structures import ESMap, EventStructure, ekey, sortedevents
+from .structures import (ESMap, EventStructure, ekey, reflexive_closures,
+                         sortedevents)
 
 # ---- secured bijections -----------------------------------------------------------
 
@@ -95,38 +96,7 @@ def _pair_order(src_left, src_right, pairs):
             if r2 in by_right:
                 pp.add(by_right[r2])
         preds[p] = pp
-    return _down_closures(preds)
-
-
-def _down_closures(preds):
-    """Reflexive down-closure of each node of a relation given as node -> set
-    of predecessors. Raises Cycle when the relation is not acyclic.
-
-    Nodes are placed in rounds, each once its predecessors are; the graphs
-    met here have a handful of nodes.
-    """
-    below = {}
-    todo = list(preds)
-    while todo:
-        rest = []
-        for p in todo:
-            ps = preds[p]
-            if ps <= below.keys():
-                b = {p}
-                for q in ps:
-                    b |= below[q]
-                below[p] = frozenset(b)
-            else:
-                rest.append(p)
-        if len(rest) == len(todo):
-            # every stuck node has a stuck predecessor: walk back to a loop
-            path = [rest[0]]
-            while path.count(path[-1]) == 1:
-                path.append(next(q for q in preds[path[-1]] if q not in below))
-            cycle = path[path.index(path[-1]):]
-            raise Cycle(f"causal cycle through {cycle}", cycle=cycle)
-        todo = rest
-    return below
+    return reflexive_closures(preds)
 
 
 def secured_bijection(f, g, x, y):
@@ -424,7 +394,7 @@ def glue(sigma, tau, x, y):
         preds.setdefault(p, set()).update(
             pair_of_t[d] for d in tbelow(t) if d != t)
     try:
-        return _down_closures(preds)
+        return reflexive_closures(preds)
     except Cycle:
         return None
 

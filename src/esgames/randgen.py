@@ -10,7 +10,7 @@ from .errors import InvalidStructure
 from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game, is_race_free
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, bare_strategy, strategy
-from .structures import cfgkey, ekey, event_structure, sortedevents
+from .structures import ekey, event_structure, sortedevents
 
 ATTEMPTS = 200
 
@@ -173,7 +173,7 @@ def random_stopping(rng, st, limits=DEFAULT_LIMITS):
     """Random stopping data over a strategy: biased to +-maximal configs."""
     from .games import is_plus_maximal
 
-    configs = sorted(st.source.configurations(limits), key=cfgkey)
+    configs = st.configurations(limits)
     stopping = set()
     for x in configs:
         p = 0.7 if is_plus_maximal(st.source, x, limits) else 0.15

@@ -13,7 +13,7 @@ from .errors import BadArgument
 from .games import Polarised, is_plus_maximal
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, strategy
-from .structures import cfgkey, ekey, event_structure
+from .structures import ekey, event_structure
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,15 @@ def lint_stopping(st, limits=DEFAULT_LIMITS):
     inclusion between stopping and +-maximal survives transport.
     """
     src = st.strat.source
-    configs = sorted(src.configurations(limits), key=cfgkey)
+    configs = st.strat.configurations(limits)
     findings = []
     for x in configs:
         if not any(x <= y for y in st.stopping):
             findings.append(LintFinding(NO_STOPPING_EXTENSION, x))
     dominated = sorted({x for y in st.sorted_stopping() for x in configs
                         if x <= y and x not in st.stopping
-                        and is_plus_maximal(src, x, limits)}, key=cfgkey)
+                        and is_plus_maximal(src, x, limits)},
+                       key=src.es.config_key)
     findings += [LintFinding(DOMINATED_MAXIMAL_NOT_STOPPING, x)
                  for x in dominated]
     for y in st.sorted_stopping():

@@ -39,7 +39,7 @@ from .games import (
     plus_subset,
 )
 from .limits import DEFAULT_LIMITS
-from .structures import ESMap, cfgkey, ekey, sortedevents, validate_map
+from .structures import ESMap, sortedevents, validate_map
 
 
 class BareStrategy:
@@ -54,8 +54,10 @@ class BareStrategy:
         self.target = parallel(dual(game_a), middle, game_b,
                                name=f"target({name})" if name else "")
         self.sigma = ESMap(source.es, self.target.es, assign)
+        self._configs = {}  # limits -> configurations(limits)
         self._stop_of = {}  # limits -> stop_of(self, limits)
         self._by_image = {}  # limits -> configurations_by_image(limits)
+        self._may_runs = {}  # limits -> testing's table of ticking runs
 
     @property
     def is_strategy(self):
@@ -73,12 +75,20 @@ class BareStrategy:
         m = self.sigma.mapping
         return frozenset(u for j, u in map(m.__getitem__, x) if j == side)
 
+    def configurations(self, limits=DEFAULT_LIMITS):
+        """Source configurations, smallest first, as a tuple; derived once
+        per limits."""
+        got = self._configs.get(limits)
+        if got is None:
+            got = self._configs[limits] = tuple(self.source.configurations(limits))
+        return got
+
     def configurations_by_image(self, limits=DEFAULT_LIMITS):
         """Source configurations grouped by their image on B, each group
         smallest first; derived once per limits."""
         got = self._by_image.get(limits)
         if got is None:
-            got = _group_by_image(self, self.source.configurations(limits))
+            got = _group_by_image(self, self.configurations(limits))
             self._by_image[limits] = got
         return got
 
@@ -149,10 +159,11 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
                                  events=undefined))
         return diags
 
-    rep = validate_map(bs.sigma, limits)
+    configs = bs.configurations(limits)
+    rep = validate_map(bs.sigma, limits, configs=configs)
     diags.extend(rep.diagnostics)
 
-    for s in sortedevents(bs.source.events):
+    for s in bs.source.es.ordered:
         v = bs.sigma.mapping[s]
         if v not in bs.target.events:
             continue  # already reported by validate_map
@@ -172,27 +183,30 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
     src, tgt = bs.source.es, bs.target.es
     opponent = sortedevents(bs.target.events_with(MINUS))
     src_opponent = bs.source.events_with(MINUS)
-    for x in bs.source.configurations(limits):
+    for x in configs:
         sx = bs.image(x)
         lifts = {}
         for s in src_opponent - x:
-            if src.below(s) - {s} <= x and src.is_consistent(x | {s}):
+            xs = x | {s}
+            if src.below(s) <= xs and src.is_consistent(xs):
                 a = bs.sigma.mapping[s]
                 lifts[a] = lifts.get(a, 0) + 1
         for a in opponent:
-            if a in sx or not tgt.below(a) - {a} <= sx \
-                    or not tgt.is_consistent(sx | {a}):
+            if a in sx:
+                continue
+            y = sx | {a}
+            if not tgt.below(a) <= y or not tgt.is_consistent(y):
                 continue
             count = lifts.get(a, 0)
             if count != 1:
-                y = sx | {a}
                 diags.append(NotReceptive(
                     f"{count} liftings of {sortedevents(y)} over"
                     f" {sortedevents(x)}", x=x, y=y, count=count))
 
     timm = bs.target.es.immediate_pairs()
+    rank = bs.source.es.rank
     for s, s2 in sorted(bs.source.es.immediate_pairs(),
-                        key=lambda p: (ekey(p[0]), ekey(p[1]))):
+                        key=lambda p: (rank[p[0]], rank[p[1]])):
         img = (bs.sigma.mapping[s], bs.sigma.mapping[s2])
         if bs.source.pol[s] == PLUS and img not in timm:
             diags.append(PlusInnocenceViolation(
@@ -237,7 +251,7 @@ class StoppingStrategy:
     def __init__(self, strat, stopping, name="", limits=DEFAULT_LIMITS):
         self.name = name or strat.name
         self.strat = strat
-        configs = set(strat.source.configurations(limits))
+        configs = set(strat.configurations(limits))
         stopping = frozenset(frozenset(x) for x in stopping)
         bad = [x for x in stopping if x not in configs]
         if bad:
@@ -247,11 +261,13 @@ class StoppingStrategy:
         self.stopping = stopping
         self._sorted = None
         self._by_image = None
+        self._must_runs = None  # testing's table of non-ticking runs
 
     def sorted_stopping(self):
         """The stopping configurations, smallest first, as a tuple."""
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.stopping, key=cfgkey))
+            self._sorted = tuple(sorted(
+                self.stopping, key=self.strat.source.es.config_key))
         return self._sorted
 
     def stopping_by_image(self):
@@ -277,7 +293,7 @@ def stop_of(bs, limits=DEFAULT_LIMITS):
     st = bs._stop_of.get(limits)
     if st is None:
         vis, _, down = visible_part(bs, limits)
-        stopping = {down(x) for x in bs.source.configurations(limits)
+        stopping = {down(x) for x in bs.configurations(limits)
                     if is_plus_maximal(bs.source, x)}
         st = StoppingStrategy(vis, stopping,
                               name=f"st({bs.name})" if bs.name else "")

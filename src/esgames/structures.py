@@ -5,12 +5,13 @@ per-event down-closures, and a consistency family kept as the antichain of
 maximal consistent sets. Configurations are the consistent down-closed subsets.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
-from graphlib import TopologicalSorter, CycleError
 from itertools import combinations
 
 from .errors import (
     ConsistencyNotDownClosed,
+    Cycle,
     CycleInCause,
     EndpointMismatch,
     ImageNotConfiguration,
@@ -49,16 +50,46 @@ def cfgkey(x):
 
 
 class EventStructure:
-    """Immutable by convention; built via event_structure()."""
+    """Immutable by convention; built via event_structure().
+
+    The events in ekey order and each event's position in it (rank) are
+    derived once, on first use; every ordered result is sorted by rank,
+    which orders events as ekey does.
+    """
 
     def __init__(self, events, below, maxcons, name=""):
         self.name = name
         self.events = frozenset(events)
         self._below = {e: frozenset(below[e]) for e in self.events}
-        self.maxcons = tuple(sorted(_antichain(maxcons), key=cfgkey))
+        self._ordered = None
+        self._rank = None
         self._above = None
         self._immediate = None
         self._hash = None
+        maxcons = _antichain(maxcons)
+        if len(maxcons) > 1:
+            maxcons.sort(key=self.config_key)
+        self.maxcons = tuple(maxcons)
+
+    # ---- event order ---------------------------------------------------------
+
+    @property
+    def ordered(self):
+        """The events in ekey order, as a tuple."""
+        if self._ordered is None:
+            self._ordered = sortedevents(self.events)
+        return self._ordered
+
+    @property
+    def rank(self):
+        """event -> its position in ordered."""
+        if self._rank is None:
+            self._rank = {e: i for i, e in enumerate(self.ordered)}
+        return self._rank
+
+    def config_key(self, x):
+        """Sort key for a set of events that orders as cfgkey does."""
+        return (len(x), sorted(map(self.rank.__getitem__, x)))
 
     # ---- order -------------------------------------------------------------
 
@@ -105,7 +136,7 @@ class EventStructure:
 
     def concurrent_pairs(self):
         out = set()
-        for a, b in combinations(sortedevents(self.events), 2):
+        for a, b in combinations(self.ordered, 2):
             if a not in self._below[b] and b not in self._below[a] \
                     and self.is_consistent({a, b}):
                 out.add((a, b))
@@ -124,11 +155,13 @@ class EventStructure:
         return self.is_consistent(xs) and all(self._below[e] <= xs for e in xs)
 
     def extensions(self, x):
-        """Events e not in x with x + {e} a configuration."""
+        """Events e not in x with x + {e} a configuration, in ekey order."""
         out = []
-        for e in sortedevents(self.events - x):
-            if self._below[e] - {e} <= x and self.is_consistent(x | {e}):
-                out.append(e)
+        for e in self.ordered:
+            if e not in x:
+                y = x | {e}
+                if self._below[e] <= y and self.is_consistent(y):
+                    out.append(e)
         return out
 
     def configurations(self, limits=DEFAULT_LIMITS):
@@ -148,7 +181,7 @@ class EventStructure:
                                 cap=limits.max_configs)
                         nxt.append(y)
             frontier = nxt
-        return sorted(seen, key=cfgkey)
+        return sorted(seen, key=self.config_key)
 
     # ---- derived structures --------------------------------------------------
 
@@ -218,20 +251,16 @@ def diagnose_structure(events, causes=(), conflicts=(), consistent=None):
         if known(a, "cause") and known(b, "cause"):
             edges.append((a, b))
 
-    # cycle check and topological order over the generating cause edges
+    # down-closures over the generating cause edges, or a cycle among them
     preds = {e: set() for e in events}
     for a, b in edges:
         preds[b].add(a)
     try:
-        order = list(TopologicalSorter(preds).static_order())
-    except CycleError as ce:
-        diags.append(CycleInCause(f"cause cycle {ce.args[1]}", cycle=ce.args[1]))
+        below = reflexive_closures(preds)
+    except Cycle as c:
+        cycle = c.data["cycle"]
+        diags.append(CycleInCause(f"cause cycle {cycle}", cycle=cycle))
         return diags, None
-
-    below = {e: {e} for e in events}
-    for e in order:
-        for p in preds[e]:
-            below[e] |= below[p]
 
     if consistent is not None:
         declared = [frozenset(m) for m in consistent]
@@ -289,6 +318,41 @@ def diagnose_structure(events, causes=(), conflicts=(), consistent=None):
     if diags:
         return diags, None
     return diags, EventStructure(events, below, maxcons)
+
+
+def reflexive_closures(preds):
+    """Reflexive down-closure of each node of a relation given as node -> set
+    of predecessors. Raises Cycle when the relation is not acyclic; its
+    cycle lists nodes from a node back to itself, each a predecessor of the
+    next; it does not depend on the order in which the sets iterate.
+
+    Nodes are placed in rounds, each once its predecessors are; the graphs
+    met here have a handful of nodes.
+    """
+    below = {}
+    todo = list(preds)
+    while todo:
+        rest = []
+        for p in todo:
+            ps = preds[p]
+            if ps <= below.keys():
+                b = {p}
+                for q in ps:
+                    b |= below[q]
+                below[p] = frozenset(b)
+            else:
+                rest.append(p)
+        if len(rest) == len(todo):
+            # every stuck node has a stuck predecessor: walk back to a loop,
+            # taking the least in ekey order
+            path = [rest[0]]
+            while path.count(path[-1]) == 1:
+                path.append(min((q for q in preds[path[-1]] if q not in below),
+                                key=ekey))
+            cycle = path[path.index(path[-1]):][::-1]
+            raise Cycle(f"causal cycle through {cycle}", cycle=cycle)
+        todo = rest
+    return below
 
 
 def _maximal_cliques(adjacent):
@@ -396,8 +460,12 @@ class MapReport:
     diagnostics: list = field(default_factory=list)
 
 
-def validate_map(m, limits=DEFAULT_LIMITS):
-    """Check configuration preservation and local injectivity exhaustively."""
+def validate_map(m, limits=DEFAULT_LIMITS, *, configs=None):
+    """Check configuration preservation and local injectivity exhaustively.
+
+    configs, when given, are the source's configurations, so that a caller
+    that holds them does not enumerate them again.
+    """
     diags = []
     for e, v in m.mapping.items():
         if e not in m.src.events:
@@ -407,16 +475,16 @@ def validate_map(m, limits=DEFAULT_LIMITS):
     if diags:
         return MapReport(False, False, False, diags)
 
-    for x in m.src.configurations(limits):
-        img = []
-        for e in sorted(x, key=ekey):
-            if e in m.mapping:
-                img.append(m.mapping[e])
+    if configs is None:
+        configs = m.src.configurations(limits)
+    mapping = m.mapping
+    for x in configs:
+        img = [mapping[e] for e in x if e in mapping]
         if len(set(img)) != len(img):
             seenv = {}
-            for e in sorted(x, key=ekey):
-                if e in m.mapping:
-                    v = m.mapping[e]
+            for e in sortedevents(x):
+                if e in mapping:
+                    v = mapping[e]
                     if v in seenv:
                         diags.append(LocalInjectivityViolation(
                             f"{seenv[v]!r} and {e!r} share image {v!r} in a"
@@ -471,13 +539,12 @@ def find_isomorphism(e1, e2, label1=None, label2=None, budget=None,
 
     inv1 = {e: inv(e1, label1, e) for e in e1.events}
     inv2 = {e: inv(e2, label2, e) for e in e2.events}
-    from collections import Counter
     if Counter(inv1.values()) != Counter(inv2.values()):
         return None
 
-    cands = {e: sortedevents(f for f in e2.events if inv2[f] == inv1[e])
+    cands = {e: tuple(f for f in e2.ordered if inv2[f] == inv1[e])
              for e in e1.events}
-    order = sorted(e1.events, key=lambda e: (len(cands[e]), ekey(e)))
+    order = sorted(e1.events, key=lambda e: (len(cands[e]), e1.rank[e]))
     assign = {}
     used = set()
     nodes = 0

@@ -9,14 +9,16 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .errors import GameMismatch, InvalidStructure, NotAGap, SizeBoundExceeded
+from .errors import (Cycle, GameMismatch, InvalidStructure, NotAGap,
+                     SizeBoundExceeded)
 from .games import (MINUS, NEUTRAL, PLUS, Polarised, component, dual, game,
                     payload)
 from .interaction import glue
 from .limits import DEFAULT_LIMITS
 from .strategies import (BareStrategy, StoppingStrategy, bare_strategy,
                          stop_of, strategy, visible_part)
-from .structures import ekey, event_structure, sortedevents
+from .structures import (ekey, event_structure, reflexive_closures,
+                         sortedevents)
 
 TICK = "tick"
 
@@ -54,7 +56,7 @@ def _linearisations(sigma, x):
         if not remaining:
             yield tuple(prefix)
             return
-        for s in sorted(remaining, key=ekey):
+        for s in sorted(remaining, key=src.rank.__getitem__):
             if preds[s] <= placed:
                 prefix.append(sigma.assigned(s))
                 yield from grow(placed | {s}, remaining - {s})
@@ -138,6 +140,32 @@ def _ticks(bs, y):
     return any(bs.assigned(t) == (3, TICK) for t in y)
 
 
+def _runs(t, configs, ticking):
+    """(image on the game, y) for each y of configs that reaches the success
+    move or, with ticking false, does not; in the order of configs."""
+    return tuple((t.image_on(1, y), y) for y in configs
+                 if _ticks(t, y) == ticking)
+
+
+def _may_runs(test, limits):
+    """The test's visible part and its ticking runs; kept on the test per
+    limits."""
+    got = test._may_runs.get(limits)
+    if got is None:
+        tvis = _visible(test)
+        got = (tvis, _runs(tvis, tvis.configurations(limits), True))
+        test._may_runs[limits] = got
+    return got
+
+
+def _must_runs(tstop):
+    """The non-ticking runs of the test's stopping configurations; kept on
+    the stopping strategy."""
+    if tstop._must_runs is None:
+        tstop._must_runs = _runs(tstop.strat, tstop.sorted_stopping(), False)
+    return tstop._must_runs
+
+
 def may_pass(subject, test, limits=DEFAULT_LIMITS):
     """Some pairing of configurations reaches the success move.
 
@@ -147,12 +175,10 @@ def may_pass(subject, test, limits=DEFAULT_LIMITS):
     """
     sub = _as_stopping(subject, limits)
     _check_test_shape(sub, test)
-    tvis = _visible(test)
+    tvis, runs = _may_runs(test, limits)
     by_image = sub.strat.configurations_by_image(limits)
-    for y in tvis.source.configurations(limits):
-        if not _ticks(tvis, y):
-            continue
-        for x in by_image.get(tvis.image_on(1, y), ()):
+    for image, y in runs:
+        for x in by_image.get(image, ()):
             if glue(sub.strat, tvis, x, y) is not None:
                 return Verdict(True, (x, y))
     return Verdict(False)
@@ -170,10 +196,8 @@ def must_pass(subject, test, limits=DEFAULT_LIMITS):
     _check_test_shape(sub, test)
     tstop = stop_of(test, limits)
     by_image = sub.stopping_by_image()
-    for y in tstop.sorted_stopping():
-        if _ticks(tstop.strat, y):
-            continue
-        for x in by_image.get(tstop.strat.image_on(1, y), ()):
+    for image, y in _must_runs(tstop):
+        for x in by_image.get(image, ()):
             if glue(sub.strat, tstop.strat, x, y) is not None:
                 return Verdict(False, (x, y))
     return Verdict(True)
@@ -250,7 +274,7 @@ def _game_conflicts(g, moves):
     A test that holds both moves of such a pair consistent would map an
     inconsistent set onto the game.
     """
-    return [(a, b) for a, b in combinations(sorted(moves, key=ekey), 2)
+    return [(a, b) for a, b in combinations(sortedevents(moves), 2)
             if not g.es.is_consistent({a, b})]
 
 
@@ -279,6 +303,13 @@ def _reversal_edges(v2, configs, t1, pos, limits):
                           " of the trace", config=x2)
         edges.add((best[0], best[1]))
     return edges
+
+
+def _fresh_tag(tag, moves):
+    """tag, primed until no pair (tag, m) with m among moves is a move."""
+    while any((tag, m) in moves for m in moves):
+        tag += "'"
+    return tag
 
 
 def _flip(g):
@@ -313,7 +344,7 @@ def synthesize_may_test(sigma2, gap, limits=DEFAULT_LIMITS):
     tick = TICK if TICK not in t1p else ("k", TICK)
     causes += [(t, tick) for t in t1 if g.pol[t] == PLUS]
     pol = _flip(g)
-    src = Polarised(event_structure(sorted(t1p, key=ekey) + [tick], causes,
+    src = Polarised(event_structure(sortedevents(t1p) + (tick,), causes,
                                     _game_conflicts(g, t1p)),
                     {a: pol[a] for a in t1p} | {tick: PLUS})
     assign = {a: (1, a) for a in t1p} | {tick: (3, TICK)}
@@ -344,9 +375,9 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
         raise NotAGap("the trace is one of s2's stopping traces", trace=alpha1)
     pos = {a: i for i, a in enumerate(alpha)}
     t1p = _saturation(g, t1)
-    shadows = {t: ("n", t) for t in t1 if g.pol[t] == PLUS}
-    ticks = {t: ("v", t) for t in sorted(t1p, key=ekey)}
-    assert not (set(shadows.values()) | set(ticks.values())) & t1p
+    shadow, success = _fresh_tag("n", t1p), _fresh_tag("v", t1p)
+    shadows = {t: (shadow, t) for t in t1 if g.pol[t] == PLUS}
+    ticks = {t: (success, t) for t in t1p}
 
     causes = [(b, a) for a in t1p for b in g.es.strict_below(a) & t1p]
     causes += [(alpha[i], alpha[j])
@@ -356,17 +387,18 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
     causes += [(a, ticks[a]) for a in t1p - t1]
 
     conflicts = _game_conflicts(g, t1p)
-    conflicts += combinations(sorted(ticks.values()), 2)
+    conflicts += combinations(sortedevents(ticks.values()), 2)
     conflicts += [(t, ticks[t]) for t in t1 if g.pol[t] == MINUS]
     conflicts += [(n, ticks[t]) for t, n in shadows.items()]
 
-    events = sorted(t1p, key=ekey) + sorted(shadows.values()) + sorted(ticks.values())
+    events = (sortedevents(t1p) + sortedevents(shadows.values())
+              + sortedevents(ticks.values()))
     pol = _flip(g)
     pols = {a: pol[a] for a in t1p}
     pols |= {n: NEUTRAL for n in shadows.values()}
     pols |= {v: PLUS for v in ticks.values()}
     src = Polarised(event_structure(events, causes, conflicts), pols)
-    middle = Polarised(event_structure(sorted(shadows.values())),
+    middle = Polarised(event_structure(sortedevents(shadows.values())),
                        {n: NEUTRAL for n in shadows.values()})
     assign = {a: (1, a) for a in t1p}
     assign |= {n: (2, n) for n in shadows.values()}
@@ -410,7 +442,7 @@ _KEPT_ENUMERATIONS = 8
 @lru_cache(maxsize=_KEPT_ENUMERATIONS)
 def _enumerate_tests(g, max_events, bare, limits):
     pol = _flip(g)
-    kinds = [("g", a) for a in sorted(g.events, key=ekey)] + [("t", None)]
+    kinds = [("g", a) for a in g.es.ordered] + [("t", None)]
     if bare:
         kinds.append(("n", None))
     core = _forced_opponent_core(g)
@@ -450,9 +482,10 @@ def _skeletons(g, pol, combo, limits):
                     if pols[i] != MINUS and pols[j] != MINUS]
 
     for edges in _subsets(slots):
-        if _cyclic(edges):
+        below = _closures(n, edges)
+        if below is None:
             continue
-        for confl in _subsets(conflictable):
+        for confl in _subsets(_without_common_successor(below, conflictable)):
             yield from _finish_skeleton(g, combo, pols, edges, confl, limits)
 
 
@@ -461,19 +494,26 @@ def _subsets(items):
         yield from combinations(items, r)
 
 
-def _cyclic(edges):
-    seen = set(edges)
-    grew = True
-    while grew:
-        grew = False
-        for a, b in list(seen):
-            for c, d in list(seen):
-                if b == c and (a, d) not in seen:
-                    if a == d:
-                        return True
-                    seen.add((a, d))
-                    grew = True
-    return False
+def _closures(n, edges):
+    """Each of the events 0..n-1 with its reflexive down-closure under edges,
+    or None when the edges have a cycle."""
+    preds = {i: set() for i in range(n)}
+    for a, b in edges:
+        preds[b].add(a)
+    try:
+        return reflexive_closures(preds)
+    except Cycle:
+        return None
+
+
+def _without_common_successor(below, pairs):
+    """The pairs that no event has both below it, the two themselves included.
+
+    Conflict is hereditary, so declaring any other pair leaves some event in
+    conflict with itself, which event_structure rejects.
+    """
+    return [(i, j) for i, j in pairs
+            if not any(i in b and j in b for b in below.values())]
 
 
 def _finish_skeleton(g, combo, pols, edges, confl, limits):

@@ -11,8 +11,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esgames import fixtures as fx
-from esgames.errors import Cycle, ImageMismatch, InvalidStructure, NotReceptive
+from esgames.errors import (
+    Cycle,
+    CycleInCause,
+    ImageMismatch,
+    InvalidStructure,
+    NotReceptive,
+)
 from esgames.games import (
+    EMPTY,
     MINUS,
     NEUTRAL,
     PLUS,
@@ -53,10 +60,13 @@ from esgames.strategies import (
     validate_two_cell,
     visible_part,
 )
-from esgames.structures import ESMap, event_structure
+from esgames.structures import ESMap, cfgkey, ekey, event_structure
 from esgames.testing import (
     TICK,
     Verdict,
+    _closures,
+    _subsets,
+    _without_common_successor,
     enumerate_tests,
     finite_traces,
     may_pass,
@@ -381,3 +391,91 @@ def test_receptivity_candidates_are_both_valid_and_invalid():
         else:
             outcomes.add("otherwise invalid")
     assert outcomes == {"valid", "not receptive", "otherwise invalid"}
+
+
+# ---- event ranks, skeleton conflicts, cause cycles ------------------------------
+
+
+def mixed_events(rng, n):
+    """n distinct events mixing strings, ints, tuples and prime-shaped ones."""
+    pool = ["a", "b", "z", 0, 3, 12, (1, "a"), (3, "a"), ("x", 2), ("x", (1, 0)),
+            ("pr", frozenset({((1, "a"), (3, 0))}), ((1, "a"), (3, 0))),
+            ("pr", frozenset({((1, "a"), (3, 0)), ((2, 1), (3, 1))}),
+             ((2, 1), (3, 1))),
+            ("pr", frozenset({(0, "b")}), (0, "b"))]
+    return rng.sample(pool, n)
+
+
+def random_mixed_structure(rng):
+    events = mixed_events(rng, rng.randint(0, 7))
+    causes = [(a, b) for i, a in enumerate(events) for b in events[i + 1:]
+              if rng.random() < 0.25]
+    conflicts = [(a, b) for a, b in combinations(events, 2)
+                 if rng.random() < 0.2]
+    try:
+        return event_structure(events, causes, conflicts)
+    except InvalidStructure:
+        return event_structure(events, causes)
+
+
+@given(seeds)
+@settings(max_examples=80, deadline=None)
+def test_rank_orders_are_the_ekey_orders(seed):
+    rng = random.Random(seed)
+    es = random_mixed_structure(rng)
+    subsets = [frozenset(c) for r in range(len(es.events) + 1)
+               for c in combinations(es.events, r)]
+    configs = [x for x in subsets
+               if all(es.below(e) <= x for e in x)
+               and any(x <= m for m in es.maxcons)]
+    assert es.configurations() == sorted(configs, key=cfgkey)
+    assert list(es.maxcons) == sorted(es.maxcons, key=cfgkey)
+    assert es.ordered == tuple(sorted(es.events, key=ekey))
+    members = set(configs)
+    for x in configs:
+        assert es.extensions(x) == [e for e in sorted(es.events - x, key=ekey)
+                                    if x | {e} in members]
+    src = Polarised(es, {e: PLUS for e in es.events})
+    strat = BareStrategy(src, EMPTY, EMPTY, Polarised(es, src.pol),
+                         {e: (3, e) for e in es.events})
+    stopping = [x for x in configs if rng.random() < 0.5]
+    assert StoppingStrategy(strat, stopping).sorted_stopping() \
+        == tuple(sorted(stopping, key=cfgkey))
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_kept_skeleton_conflicts_are_those_event_structure_accepts(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    edges = [p for p in combinations(range(n), 2) if rng.random() < 0.4]
+    pairs = list(combinations(range(n), 2))
+    kept = _without_common_successor(_closures(n, edges), pairs)
+    for confl in _subsets(pairs):
+        try:
+            event_structure(range(n), edges, confl)
+            accepted = True
+        except InvalidStructure:
+            accepted = False
+        assert accepted == (set(confl) <= set(kept))
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_cause_cycles_are_cycles_of_the_declared_causes(seed):
+    rng = random.Random(seed)
+    events = mixed_events(rng, rng.randint(2, 7))
+    causes = [(a, b) for a, b in permutations(events, 2) if rng.random() < 0.3]
+    causes.append((events[-1], events[0]))
+    causes.append((events[0], events[-1]))
+    try:
+        event_structure(events, causes)
+    except InvalidStructure as err:
+        (diag,) = err.diagnostics
+        assert isinstance(diag, CycleInCause)
+        cycle = diag.data["cycle"]
+        assert len(cycle) >= 3 and cycle[0] == cycle[-1]
+        assert len(set(cycle)) == len(cycle) - 1
+        assert all(edge in causes for edge in zip(cycle, cycle[1:]))
+    else:
+        raise AssertionError("a two-event cycle was accepted")

@@ -26,7 +26,7 @@ from esgames.games import (
     plus_maximal_configs,
     slice_config,
 )
-from esgames.limits import EngineLimits
+from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.strategies import (
     BareStrategy,
     StoppingStrategy,
@@ -40,7 +40,7 @@ from esgames.strategies import (
     validate_two_cell,
     visible_part,
 )
-from esgames.structures import ESMap, event_structure
+from esgames.structures import ESMap, EventStructure, event_structure
 
 
 def fs(*xs):
@@ -305,3 +305,22 @@ def test_two_cell_kind_and_stopping_endpoints_are_checked():
         validate_two_cell(f, saturate_stopping(small), big, kind="stopping")
     assert validate_two_cell(f, saturate_stopping(small),
                              saturate_stopping(big), kind="stopping") == []
+
+
+def test_validation_enumerates_the_source_once(monkeypatch):
+    calls = []
+    original = EventStructure.configurations
+
+    def counted(self, limits=DEFAULT_LIMITS):
+        calls.append(self)
+        return original(self, limits)
+
+    monkeypatch.setattr(EventStructure, "configurations", counted)
+    for made in (fx.shot_or_stall(), fx.relay_b2_to_c(), fx.lamp_choice()):
+        bs = BareStrategy(made.source, made.A, made.N, made.B,
+                          made.sigma.mapping)
+        assert validate_bare_strategy(bs) == []
+        stop_of(bs)
+        bs.configurations_by_image()
+        assert [es for es in calls if es is bs.source.es] == [bs.source.es]
+        calls.clear()

@@ -1,6 +1,13 @@
 """Core event-structure behaviour against hand-computed expectations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import esgames
 
 from esgames.errors import (
     ConsistencyNotDownClosed,
@@ -71,6 +78,24 @@ def test_cause_cycle_rejected():
     with pytest.raises(InvalidStructure) as exc:
         event_structure(["a", "b"], causes=[("a", "b"), ("b", "a")])
     assert any(isinstance(d, CycleInCause) for d in exc.value.diagnostics)
+
+
+def test_cause_cycle_does_not_depend_on_string_hashing():
+    # two cycles through e1 and e4; which one is reported, and from where,
+    # must not change with the hash seed of the process
+    src = Path(esgames.__file__).resolve().parent.parent
+    code = ("from esgames.structures import diagnose_structure\n"
+            "diags, _ = diagnose_structure(\n"
+            "    ['e0', 'e1', 'e2', 'e3', 'e4'],\n"
+            "    [('e0', 'e2'), ('e1', 'e0'), ('e1', 'e3'), ('e1', 'e4'),\n"
+            "     ('e3', 'e4'), ('e4', 'e0'), ('e4', 'e1'), ('e4', 'e2')])\n"
+            "print(diags[0].data['cycle'])")
+    cycles = {subprocess.run([sys.executable, "-c", code], cwd=src,
+                             env={**os.environ, "PYTHONHASHSEED": str(seed)},
+                             check=True, capture_output=True, text=True,
+                             timeout=60).stdout
+              for seed in range(6)}
+    assert len(cycles) == 1
 
 
 def test_self_conflict_rejected():

@@ -10,7 +10,7 @@ from esgames import fixtures as fx
 from esgames.errors import GameMismatch, NotAGap, SizeBoundExceeded
 from esgames.games import MINUS, NEUTRAL, PLUS, Polarised, game
 from esgames.interaction import compose_stopping
-from esgames.limits import EngineLimits
+from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.randgen import random_game, random_in_game_strategy, random_stopping
 from esgames.strategies import (
     StoppingStrategy,
@@ -19,7 +19,7 @@ from esgames.strategies import (
     saturate_stopping,
     stop_of,
 )
-from esgames.structures import event_structure
+from esgames.structures import EventStructure, event_structure
 from esgames.testing import (
     TICK,
     Verdict,
@@ -496,3 +496,49 @@ def test_must_synthesis_separates_saturated_concurrent_moves():
     assert not ok
     t = synthesize_must_test(s2, gap)
     assert must_pass(s2, t) and not must_pass(s1, t)
+
+
+@pytest.mark.parametrize("other", [("x", "b"), ("n", "a")])
+def test_must_synthesis_over_moves_mixing_strings_and_tuples(other):
+    # ("x", "b") cannot be ordered against "a" by plain comparison, and
+    # ("n", "a") is what the shadow of "a" would be called
+    g = game(event_structure(["a", other]), {"a": PLUS, other: PLUS})
+    both = in_game_strategy(
+        Polarised(event_structure(["p", "q"]), {"p": PLUS, "q": PLUS}), g,
+        {"p": "a", "q": other})
+    one = in_game_strategy(
+        Polarised(event_structure(["p"]), {"p": PLUS}), g, {"p": "a"})
+    s1, s2 = saturate_stopping(both), saturate_stopping(one)
+    ok, gap = must_preorder(s1, s2)
+    assert not ok
+    t = synthesize_must_test(s2, gap)
+    assert must_pass(s2, t).passed and not must_pass(s1, t).passed
+
+
+def counting_configurations(monkeypatch):
+    """Record the structure of every configurations() call from now on."""
+    calls = []
+    original = EventStructure.configurations
+
+    def counted(self, limits=DEFAULT_LIMITS):
+        calls.append(self)
+        return original(self, limits)
+
+    monkeypatch.setattr(EventStructure, "configurations", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bare", [False, True])
+def test_a_second_run_of_a_test_enumerates_nothing(monkeypatch, bare):
+    rng = random.Random(5)
+    g = fx.buttons()
+    subjects = [random_stopping(rng, random_in_game_strategy(rng, g))
+                for _ in range(2)]
+    own = subjects[1].strat.source.es
+    calls = counting_configurations(monkeypatch)
+    for t in enumerate_tests(g, 3, bare=bare):
+        for run in (may_pass, must_pass):
+            run(subjects[0], t)
+            calls.clear()
+            run(subjects[1], t)
+            assert all(es is own for es in calls)
