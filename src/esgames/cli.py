@@ -7,12 +7,13 @@ or validation error.
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 
 from .errors import EsgError, ParseError
-from .fileformat import (_ID, Definition, Workspace, _flat_ident,
-                         _minimal_clashes, _naming, _ws_name_for, export_dot,
-                         parse_file, print_workspace, shape_kind)
-from .games import NEUTRAL, Polarised, dual, parallel
+from .fileformat import (Definition, Workspace, _clean, _minimal_clashes,
+                         _naming, _ws_name_for, export_dot, parse_file,
+                         print_workspace, shape_kind)
+from .games import NEUTRAL, Polarised, dual, parallel, payload
 from .interaction import compose, compose_stopping, interact, interact_stopping
 from .limits import DEFAULT_LIMITS
 from .rigid import rigid_image, rigid_image_stopping
@@ -27,14 +28,10 @@ SUBJECT_KINDS = STRATEGY_KINDS + ("stopping",)
 
 
 def _limits(args):
-    lm = DEFAULT_LIMITS
-    if args.max_configs is not None:
-        lm = replace(lm, max_configs=args.max_configs)
-    if args.max_primes is not None:
-        lm = replace(lm, max_primes=args.max_primes)
-    if args.max_test_size is not None:
-        lm = replace(lm, max_test_size=args.max_test_size)
-    return lm
+    caps = {"max_configs": args.max_configs, "max_primes": args.max_primes,
+            "max_test_size": args.max_test_size}
+    return replace(DEFAULT_LIMITS,
+                   **{k: v for k, v in caps.items() if v is not None})
 
 
 def _load(args, limits):
@@ -64,10 +61,6 @@ def _strat(defn):
     return defn.obj.strat if defn.kind == "stopping" else defn.obj
 
 
-def _clean(e):
-    return isinstance(e, str) and _ID.fullmatch(e)
-
-
 def _relabel(st):
     """Readable source names for computed results: synthetic events (prime
     tuples and the like) become e1, e2, ...; clean names stay."""
@@ -83,16 +76,20 @@ def _relabel(st):
                     k += 1
                 taken.add(f"e{k}")
                 ren[e] = f"e{k}"
-        es0 = st.source.es
-        es = event_structure(
-            [ren[e] for e in evs],
-            [(ren[a], ren[b]) for b in evs for a in es0.strict_below(b)],
-            consistent=[frozenset(ren[e] for e in m) for m in es0.maxcons])
-        src = Polarised(es, {ren[e]: st.source.pol[e] for e in evs})
-        st = BareStrategy(src, st.A, st.N, st.B,
+        st = BareStrategy(_renamed(st.source, ren), st.A, st.N, st.B,
                           {ren[e]: st.assigned(e) for e in evs},
                           name=st.name)
     return st, ren
+
+
+def _renamed(pg, ren):
+    """pg with each event e renamed to ren[e]."""
+    evs = sortedevents(pg.events)
+    es = event_structure(
+        [ren[e] for e in evs],
+        [(ren[a], ren[b]) for b in evs for a in pg.es.strict_below(b)],
+        consistent=[frozenset(ren[e] for e in m) for m in pg.es.maxcons])
+    return Polarised(es, {ren[e]: pg.pol[e] for e in evs})
 
 
 class _Out:
@@ -189,9 +186,9 @@ def _cmd_configs(ws, args, limits):
         for y in d.obj.sorted_stopping():
             print(_fmt_config(y, names))
         return 0
-    pg = d.obj if d.kind in ("es", "game") else d.obj.source
     if d.kind == "map":
         raise ParseError("configs expects a structure or strategy name")
+    pg = d.obj if d.kind in ("es", "game") else d.obj.source
     names = _naming(pg.events)
     for x in pg.configurations(limits):
         print(_fmt_config(x, names))
@@ -228,28 +225,11 @@ def _cmd_dual(ws, args, limits):
     return out.emit(args)
 
 
-def _par_names(pg):
-    """Rename (slot, event) pairs of a parallel composition by their payload."""
-    taken = set()
-    ren = {}
-    for e in sortedevents(pg.events):
-        base = e[1] if isinstance(e, tuple) and _clean(e[1]) else _flat_ident(e)
-        cand, k = base, 1
-        while cand in taken:
-            k += 1
-            cand = f"{base}_{k}"
-        taken.add(cand)
-        ren[e] = cand
-    es = event_structure(
-        [ren[e] for e in sortedevents(pg.events)],
-        [(ren[a], ren[b]) for b in pg.events for a in pg.es.strict_below(b)],
-        consistent=[frozenset(ren[e] for e in m) for m in pg.es.maxcons])
-    return Polarised(es, {ren[e]: pg.pol[e] for e in pg.events})
-
-
 def _cmd_par(ws, args, limits):
     parts = [ws.get(n, ("es", "game")) for n in args.names]
-    pg = _par_names(parallel(*[d.obj for d in parts]))
+    pg = parallel(*[d.obj for d in parts])
+    # events are (slot, event) pairs: name each after the event it copies
+    pg = _renamed(pg, _naming(pg.events, payload))
     out = _Out(ws)
     out.structure(pg, "_par_".join(d.name for d in parts))
     return out.emit(args)
@@ -327,14 +307,6 @@ def _print_witness(label, pair, sub, test):
           f" test {_fmt_config(y, tnames)}")
 
 
-def _cmd_may(ws, args, limits):
-    return _run_verdict(ws, args, limits, may_pass, "witness")
-
-
-def _cmd_must(ws, args, limits):
-    return _run_verdict(ws, args, limits, must_pass, "counterexample")
-
-
 def _run_preorder(ws, args, limits, checker):
     a = ws.get(args.first, SUBJECT_KINDS)
     b = ws.get(args.second, SUBJECT_KINDS)
@@ -348,14 +320,6 @@ def _run_preorder(ws, args, limits, checker):
     print(f"gap trace: {_fmt_trace(alpha)}")
     print(f"realised by {_fmt_config(x, names)}")
     return 1
-
-
-def _cmd_may_preorder(ws, args, limits):
-    return _run_preorder(ws, args, limits, may_preorder)
-
-
-def _cmd_must_preorder(ws, args, limits):
-    return _run_preorder(ws, args, limits, must_preorder)
 
 
 def _run_synth(ws, args, limits, kind, synthesize, runner):
@@ -374,15 +338,6 @@ def _run_synth(ws, args, limits, kind, synthesize, runner):
     out = _Out(ws)
     out.strategy_def(test, f"sep_{a.name}_{b.name}", kind="test")
     return out.emit(args)
-
-
-def _cmd_synth_may(ws, args, limits):
-    return _run_synth(ws, args, limits, "may", synthesize_may_test, may_pass)
-
-
-def _cmd_synth_must(ws, args, limits):
-    return _run_synth(ws, args, limits, "must", synthesize_must_test,
-                      must_pass)
 
 
 def _cmd_rigid_image(ws, args, limits):
@@ -455,18 +410,24 @@ def _build_parser():
         ["name"], out=True)
     cmd("saturate", _cmd_saturate, "all maximal configurations as stopping",
         ["name"], out=True)
-    cmd("may", _cmd_may, "may the subject pass the test", ["subject", "test"])
-    cmd("must", _cmd_must, "must the subject pass the test",
-        ["subject", "test"])
-    cmd("may-preorder", _cmd_may_preorder, "trace inclusion",
-        ["first", "second"])
-    cmd("must-preorder", _cmd_must_preorder, "stopping-trace inclusion",
-        ["first", "second"])
-    cmd("synth-may", _cmd_synth_may, "build a test splitting the may preorder",
-        ["first", "second"], out=True)
-    cmd("synth-must", _cmd_synth_must,
-        "build a test splitting the must preorder",
-        ["first", "second"], out=True)
+    cmd("may", partial(_run_verdict, runner=may_pass, fail_word="witness"),
+        "may the subject pass the test", ["subject", "test"])
+    cmd("must", partial(_run_verdict, runner=must_pass,
+                        fail_word="counterexample"),
+        "must the subject pass the test", ["subject", "test"])
+    cmd("may-preorder", partial(_run_preorder, checker=may_preorder),
+        "trace inclusion", ["first", "second"])
+    cmd("must-preorder", partial(_run_preorder, checker=must_preorder),
+        "stopping-trace inclusion", ["first", "second"])
+    cmd("synth-may", partial(_run_synth, kind="may",
+                             synthesize=synthesize_may_test, runner=may_pass),
+        "build a test splitting the may preorder", ["first", "second"],
+        out=True)
+    cmd("synth-must", partial(_run_synth, kind="must",
+                              synthesize=synthesize_must_test,
+                              runner=must_pass),
+        "build a test splitting the must preorder", ["first", "second"],
+        out=True)
     cmd("rigid-image", _cmd_rigid_image, "collapse to the rigid image",
         ["name"], out=True)
     cmd("dot", _cmd_dot, "DOT rendering of a definition", ["name"], out=True)
@@ -480,9 +441,6 @@ def main(argv=None):
     try:
         ws = _load(args, limits)
         return args.fn(ws, args, limits)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except EsgError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

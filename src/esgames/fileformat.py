@@ -21,7 +21,7 @@ import re
 from .errors import EsgError, InvalidStructure, ParseError
 from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
 from .limits import DEFAULT_LIMITS
-from .strategies import StoppingStrategy, bare_strategy, strategy
+from .strategies import StoppingStrategy, bare_strategy
 from .structures import ESMap, ekey, event_structure, sortedevents, validate_map
 from .testing import TICK, success_game
 
@@ -168,7 +168,8 @@ def _polarity(p):
 
 
 def _es_items(p):
-    """Shared body items: events, causes, conflicts, consistent blocks."""
+    """Body items by name: events, causes, conflicts and consistent blocks,
+    then the assign, stop and strategy items of strategies and stoppings."""
     events, pol, causes, conflicts, consistent = [], {}, [], [], []
     assigns = {}
     stops = []
@@ -196,32 +197,31 @@ def _es_items(p):
             conflicts.append((a, b))
             p.expect("sym", ";")
         elif word == "consistent":
-            p.expect("sym", "{")
-            block = []
-            while not p.at_sym("}"):
-                block.append(p.ident("event id"))
-            p.expect("sym", "}")
-            p.eat_sym(";")
-            consistent.append(frozenset(block))
+            consistent.append(_event_block(p))
         elif word == "assign":
             s = p.ident("source event")
             p.expect("sym", "->")
             assigns[s] = _assign_target(p)
             p.expect("sym", ";")
         elif word == "stop":
-            p.expect("sym", "{")
-            block = []
-            while not p.at_sym("}"):
-                block.append(p.ident("event id"))
-            p.expect("sym", "}")
-            p.eat_sym(";")
-            stops.append(frozenset(block))
+            stops.append(_event_block(p))
         elif word == "strategy":
             ref = (p.ident("strategy name"), line, col)
             p.expect("sym", ";")
         else:
             raise ParseError(f"unknown item {word!r}", line, col)
-    return events, pol, causes, conflicts, consistent, assigns, stops, ref
+    return dict(events=events, pol=pol, causes=causes, conflicts=conflicts,
+                consistent=consistent, assigns=assigns, stops=stops, ref=ref)
+
+
+def _event_block(p):
+    p.expect("sym", "{")
+    block = []
+    while not p.at_sym("}"):
+        block.append(p.ident("event id"))
+    p.expect("sym", "}")
+    p.eat_sym(";")
+    return frozenset(block)
 
 
 def _assign_target(p):
@@ -234,16 +234,10 @@ def _assign_target(p):
 
 
 def _build_es(name, items, line, col):
-    events, pol, causes, conflicts, consistent, assigns, stops, ref = items
-    if assigns or stops or ref:
-        raise ParseError("assign/stop do not belong in an es or game body",
-                         line, col)
-    try:
-        es = event_structure(events, causes, conflicts,
-                             consistent or None, name=name)
-        return Polarised(es, pol, name=name)
-    except (InvalidStructure, AssertionError) as err:
-        raise ParseError(f"invalid {name!r}: {err}", line, col) from err
+    es = _wrap(name, line, col, event_structure, items["events"],
+               items["causes"], items["conflicts"],
+               items["consistent"] or None, name=name)
+    return Polarised(es, items["pol"], name=name)
 
 
 def _wrap(defname, line, col, fn, *args, **kwargs):
@@ -253,21 +247,28 @@ def _wrap(defname, line, col, fn, *args, **kwargs):
         raise ParseError(f"invalid {defname!r}: {err}", line, col) from err
 
 
-def _no_stopping_items(items, line, col):
-    if items[6] or items[7]:
-        raise ParseError("stop/strategy items belong in stopping definitions",
-                         line, col)
+# The assign prefixes of each strategy kind, in the order messages list them,
+# and the component of dual(A) || N || B each prefix targets.
+_PREFIXES = {
+    "strategy": {None: 3},
+    "bare": {"a": 1, "n": 2, "b": 3},
+    "test": {"g": 1, "n": 2, None: 3},
+}
 
 
-def _resolve_assigns(assigns, spec_by_prefix, line, col):
+def _resolve_assigns(kind, assigns):
+    prefixes = _PREFIXES[kind]
     out = {}
     for s, (prefix, member, aline, acol) in assigns.items():
-        if prefix not in spec_by_prefix:
-            allowed = "/".join(k or "plain" for k in spec_by_prefix)
+        if prefix not in prefixes:
+            allowed = "/".join(k or "plain" for k in prefixes)
             raise ParseError(
                 f"assign target {prefix + '.' if prefix else ''}{member}"
                 f" not allowed here (use {allowed})", aline, acol)
-        out[s] = spec_by_prefix[prefix](member, aline, acol)
+        if kind == "test" and prefix is None and member != TICK:
+            raise ParseError(f"bare target {member!r}; use g. n. or tick",
+                             aline, acol)
+        out[s] = (prefixes[prefix], member)
     return out
 
 
@@ -290,6 +291,10 @@ def parse(text, limits=DEFAULT_LIMITS, ws=None):
             p.expect("sym", "{")
             items = _es_items(p)
             p.expect("sym", "}")
+            if items["assigns"] or items["stops"] or items["ref"]:
+                raise ParseError(
+                    "assign/stop do not belong in an es or game body",
+                    line, col)
             pg = _build_es(name, items, line, col)
             if kind == "game":
                 _wrap(name, line, col, game, pg.es, pg.pol, name=name)
@@ -317,91 +322,63 @@ def parse(text, limits=DEFAULT_LIMITS, ws=None):
                         d.message for d in rep.diagnostics), line, col)
             ws.add(Definition(kind, name, m), line, col)
 
-        elif kind == "strategy":
-            p.expect("sym", ":")
-            g = ws.get(p.ident("game"), ("game",), line, col)
-            p.expect("sym", "{")
-            items = _es_items(p)
-            p.expect("sym", "}")
-            _no_stopping_items(items, line, col)
-            src = _build_es(name, items[:5] + ({}, [], None), line, col)
-            assigns = _resolve_assigns(
-                items[5], {None: lambda e, l, c: (3, e)}, line, col)
-            st = _wrap(name, line, col, strategy, src, EMPTY,
-                       g.obj, assigns, name=name, limits=limits)
-            ws.add(Definition(kind, name, st), line, col)
-
-        elif kind == "bare":
-            p.expect("sym", ":")
-            ga = ws.get(p.ident("left game"), ("game",), line, col)
-            p.expect("sym", "|")
-            if p.eat_sym("_"):
-                middle = EMPTY
-            else:
-                middle = ws.get(p.ident("middle"), ("es",), line, col).obj
-                if any(q != NEUTRAL for q in middle.pol.values()):
-                    raise ParseError(
-                        f"middle of {name!r} must be all neutral", line, col)
-            p.expect("sym", "|")
-            gb = ws.get(p.ident("right game"), ("game",), line, col)
-            p.expect("sym", "{")
-            items = _es_items(p)
-            p.expect("sym", "}")
-            _no_stopping_items(items, line, col)
-            src = _build_es(name, items[:5] + ({}, [], None), line, col)
-            assigns = _resolve_assigns(items[5], {
-                "a": lambda e, l, c: (1, e),
-                "n": lambda e, l, c: (2, e),
-                "b": lambda e, l, c: (3, e),
-            }, line, col)
-            st = _wrap(name, line, col, bare_strategy, src, ga.obj, middle,
-                       gb.obj, assigns, name=name, limits=limits)
-            ws.add(Definition(kind, name, st), line, col)
-
-        elif kind == "test":
-            p.expect("sym", ":")
-            g = ws.get(p.ident("game"), ("game",), line, col)
-            p.expect("sym", "{")
-            items = _es_items(p)
-            p.expect("sym", "}")
-            _no_stopping_items(items, line, col)
-            src = _build_es(name, items[:5] + ({}, [], None), line, col)
-
-            def tick_or_neutral(e, l, c):
-                if e == TICK:
-                    return (3, TICK)
-                raise ParseError(f"bare target {e!r}; use g. n. or tick", l, c)
-
-            assigns = _resolve_assigns(items[5], {
-                "g": lambda e, l, c: (1, e),
-                "n": lambda e, l, c: (2, e),
-                None: tick_or_neutral,
-            }, line, col)
-            mids = sortedevents({u[1] for u in assigns.values()
-                                 if u[0] == 2})
-            middle = Polarised(event_structure(mids),
-                               {m: NEUTRAL for m in mids})
-            st = _wrap(name, line, col, bare_strategy, src, g.obj, middle,
-                       success_game(), assigns, name=name, limits=limits)
-            ws.add(Definition(kind, name, st), line, col)
-
         elif kind == "stopping":
             p.expect("sym", "{")
             items = _es_items(p)
             p.expect("sym", "}")
-            if items[7] is None:
+            if items["ref"] is None:
                 raise ParseError(
                     f"stopping {name!r} needs a `strategy REF;` item",
                     line, col)
-            refname, rline, rcol = items[7]
+            refname, rline, rcol = items["ref"]
             inner = ws.get(refname, ("strategy", "bare", "test"), rline, rcol)
-            if any(items[i] for i in (0, 2, 3, 4, 5)):
+            if any(items[k] for k in ("events", "causes", "conflicts",
+                                      "consistent", "assigns")):
                 raise ParseError(
                     "a stopping body holds only strategy and stop items",
                     line, col)
             st = _wrap(name, line, col, StoppingStrategy, inner.obj,
-                       items[6], name=name, limits=limits)
+                       items["stops"], name=name, limits=limits)
             ws.add(Definition(kind, name, st, ref=refname), line, col)
+
+        else:  # strategy, bare and test differ only in their headers
+            p.expect("sym", ":")
+            if kind == "bare":
+                ga = ws.get(p.ident("left game"), ("game",), line, col).obj
+                p.expect("sym", "|")
+                if p.eat_sym("_"):
+                    middle = EMPTY
+                else:
+                    middle = ws.get(p.ident("middle"), ("es",), line, col).obj
+                    if any(q != NEUTRAL for q in middle.pol.values()):
+                        raise ParseError(
+                            f"middle of {name!r} must be all neutral",
+                            line, col)
+                p.expect("sym", "|")
+                gb = ws.get(p.ident("right game"), ("game",), line, col).obj
+            else:
+                g = ws.get(p.ident("game"), ("game",), line, col).obj
+                ga, middle, gb = ((EMPTY, EMPTY, g) if kind == "strategy"
+                                  else (g, None, success_game()))
+            p.expect("sym", "{")
+            items = _es_items(p)
+            p.expect("sym", "}")
+            if items["stops"] or items["ref"]:
+                raise ParseError(
+                    "stop/strategy items belong in stopping definitions",
+                    line, col)
+            src = _build_es(name, items, line, col)
+            assigns = _resolve_assigns(kind, items["assigns"])
+            if middle is None:  # a test's middle: one neutral event per n.*
+                mids = sortedevents({u[1] for u in assigns.values()
+                                     if u[0] == 2})
+                middle = Polarised(event_structure(mids),
+                                   {m: NEUTRAL for m in mids})
+            # bare_strategy also checks the strategy kind: with an empty
+            # middle no neutral source event has an image of its polarity
+            st = _wrap(name, line, col, bare_strategy, src, ga, middle, gb,
+                       assigns, name=name, limits=limits)
+            ws.add(Definition(kind, name, st), line, col)
 
     return ws
 
@@ -428,19 +405,26 @@ def _flat_ident(e):
     return base if base[:1].isalpha() else "e_" + base
 
 
-def _naming(events):
-    """Printable, collision-free identifiers for arbitrary event values."""
+def _clean(e):
+    return isinstance(e, str) and _ID.fullmatch(e)
+
+
+def _ident(e):
+    """e itself when it is an identifier, else a flattened spelling of it."""
+    return e if _clean(e) else _flat_ident(e)
+
+
+def _naming(events, base=_ident):
+    """Printable, collision-free identifiers for arbitrary event values: each
+    event's base name, with _2, _3, ... added on a clash."""
     taken = set()
     out = {}
     for e in sortedevents(events):
-        if isinstance(e, str) and _ID.fullmatch(e):
-            base = e
-        else:
-            base = _flat_ident(e)
-        cand, k = base, 1
+        stem = base(e)
+        cand, k = stem, 1
         while cand in taken:
             k += 1
-            cand = f"{base}_{k}"
+            cand = f"{stem}_{k}"
         taken.add(cand)
         out[e] = cand
     return out
@@ -511,7 +495,7 @@ def print_workspace(ws):
                 out.append(f"  {names_of(srcn)[e]} -> {tgt};")
             out.append("}")
         elif d.kind in ("strategy", "bare", "test"):
-            _print_strategy(out, ws, names_of, d)
+            _print_strategy(out, ws, d)
         elif d.kind == "stopping":
             inner = ws.defs[d.ref]
             names = _naming(inner.obj.source.events)
@@ -541,46 +525,33 @@ def _ws_name_for(ws, pg):
     raise ParseError("definition refers to a structure not in the workspace")
 
 
-def _print_strategy(out, ws, names_of, d):
+def _print_strategy(out, ws, d):
     st = d.obj
-    names = _naming(st.source.events)
     if d.kind == "strategy":
-        gname = _ws_name_for(ws, st.B)
-        out.append(f"strategy {d.name} : {gname} {{")
-
-        def target_of(u):
-            return names_of(gname)[u[1]]
+        header = _ws_name_for(ws, st.B)
     elif d.kind == "test":
-        gname = _ws_name_for(ws, st.A)
-        mid = _naming(st.N.events)
-        out.append(f"test {d.name} : {gname} {{")
-
-        def target_of(u):
-            if u[0] == 1:
-                return f"g.{names_of(gname)[u[1]]}"
-            return f"n.{mid[u[1]]}" if u[0] == 2 else TICK
+        header = _ws_name_for(ws, st.A)
     else:
         aname = _ws_name_for(ws, st.A)
         bname = _ws_name_for(ws, st.B)
-        if st.N.events:
-            nname = _ws_name_for(ws, st.N)
-            mid = _naming(st.N.events)
-            header = f"{aname} | {nname} | {bname}"
-        else:
-            mid = {}
-            header = f"{aname} | _ | {bname}"
-        out.append(f"bare {d.name} : {header} {{")
-
-        def target_of(u):
-            if u[0] == 1:
-                return f"a.{names_of(aname)[u[1]]}"
-            if u[0] == 2:
-                return f"n.{mid[u[1]]}"
-            return f"b.{names_of(bname)[u[1]]}"
+        nname = _ws_name_for(ws, st.N) if st.N.events else "_"
+        header = f"{aname} | {nname} | {bname}"
+    out.append(f"{d.kind} {d.name} : {header} {{")
+    names = _naming(st.source.events)
+    targets = {i: _naming(pg.events)
+               for i, pg in ((1, st.A), (2, st.N), (3, st.B))}
     _print_body(out, st.source, names)
     for e in sortedevents(st.source.events):
-        out.append(f"  assign {names[e]} -> {target_of(st.assigned(e))};")
+        comp, v = st.assigned(e)
+        out.append(f"  assign {names[e]} -> "
+                   f"{_target(d.kind, comp, targets[comp][v])};")
     out.append("}")
+
+
+def _target(kind, comp, name):
+    """Assign target text: the prefix `kind` writes for component `comp`."""
+    prefix = next(k for k, c in _PREFIXES[kind].items() if c == comp)
+    return f"{prefix}.{name}" if prefix else name
 
 
 # ---- DOT export ------------------------------------------------------------------
@@ -619,16 +590,6 @@ def shape_kind(st):
     return "strategy"
 
 
-def _dot_target(st, kind, u):
-    comp, e = u
-    text = e if isinstance(e, str) and _ID.fullmatch(e) else _flat_ident(e)
-    if kind == "strategy":
-        return text
-    if kind == "test":
-        return {1: f"g.{text}", 2: f"n.{text}", 3: TICK}[comp]
-    return {1: f"a.{text}", 2: f"n.{text}", 3: f"b.{text}"}[comp]
-
-
 def export_dot(defn):
     """DOT text for an es, game, or strategy definition."""
     if defn.kind in ("es", "game"):
@@ -638,8 +599,8 @@ def export_dot(defn):
         st = defn.obj.strat if defn.kind == "stopping" else defn.obj
         kind = defn.kind if defn.kind != "stopping" else shape_kind(st)
         pg = st.source
-        label = {e: _dot_target(st, kind, st.assigned(e))
-                 for e in pg.es.events}
+        label = {e: _target(kind, comp, _ident(v))
+                 for e, (comp, v) in st.sigma.mapping.items()}
     else:
         raise ParseError(f"cannot render a {defn.kind} as DOT")
     names = _naming(pg.es.events)

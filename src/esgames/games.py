@@ -44,9 +44,6 @@ class Polarised:
     def configurations(self, limits=DEFAULT_LIMITS):
         return self.es.configurations(limits)
 
-    def polarity(self, e):
-        return self.pol[e]
-
     def events_with(self, *pols):
         return frozenset(e for e in self.es.events if self.pol[e] in pols)
 
@@ -67,6 +64,8 @@ class Polarised:
                          {e: self.pol[e] for e in keep}, name=self.name)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Polarised):
             return NotImplemented
         return self.es == other.es and self.pol == other.pol
@@ -78,10 +77,6 @@ class Polarised:
         nm = self.name or "polarised"
         kinds = "".join(sorted(set(self.pol.values())))
         return f"<{nm}: {len(self.es.events)} events [{kinds}]>"
-
-
-def polarised(es, pol, name=""):
-    return Polarised(es, pol, name=name)
 
 
 def game(es, pol, name=""):

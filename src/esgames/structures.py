@@ -199,6 +199,8 @@ class EventStructure:
     # ---- identity -------------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, EventStructure):
             return NotImplemented
         return (self.events == other.events and self._below == other._below
@@ -387,11 +389,6 @@ def event_structure(events, causes=(), conflicts=(), consistent=None, name=""):
     return es
 
 
-def validate_event_structure(events, causes=(), conflicts=(), consistent=None,
-                             name=""):
-    return event_structure(events, causes, conflicts, consistent, name)
-
-
 def enumerate_configurations(es, limits=DEFAULT_LIMITS):
     return es.configurations(limits)
 
@@ -416,9 +413,6 @@ class ESMap:
         self.src = src
         self.dst = dst
         self.mapping = dict(mapping)
-
-    def defined(self, e):
-        return e in self.mapping
 
     def __getitem__(self, e):
         return self.mapping[e]

@@ -278,7 +278,7 @@ def _game_conflicts(g, moves):
             if not g.es.is_consistent({a, b})]
 
 
-def _reversal_edges(v2, configs, t1, pos, limits):
+def _reversal_edges(v2, configs, t1, pos):
     """One order-reversing edge per configuration of v2 with image t1.
 
     The chosen pair puts the image of a Player event before the image of the
@@ -340,7 +340,7 @@ def synthesize_may_test(sigma2, gap, limits=DEFAULT_LIMITS):
     causes = [(b, a) for a in t1p for b in g.es.strict_below(a) & t1p]
     causes += [(alpha[i], alpha[j])
                for i, j in _reversal_edges(
-                   v2, v2.source.configurations(limits), t1, pos, limits)]
+                   v2, v2.source.configurations(limits), t1, pos)]
     tick = TICK if TICK not in t1p else ("k", TICK)
     causes += [(t, tick) for t in t1 if g.pol[t] == PLUS]
     pol = _flip(g)
@@ -381,8 +381,7 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
 
     causes = [(b, a) for a in t1p for b in g.es.strict_below(a) & t1p]
     causes += [(alpha[i], alpha[j])
-               for i, j in _reversal_edges(v2, s2.sorted_stopping(), t1, pos,
-                                           limits)]
+               for i, j in _reversal_edges(v2, s2.sorted_stopping(), t1, pos)]
     causes += [(t, n) for t, n in shadows.items()]
     causes += [(a, ticks[a]) for a in t1p - t1]
 

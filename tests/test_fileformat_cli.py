@@ -383,3 +383,135 @@ def test_cli_strategy_only_commands_refuse_bare_tests(capsys):
         assert run("-f", NEUTRAL, command, "TAU") == 2
         assert "neutral-free strategy" in capsys.readouterr().err
 
+
+
+def test_cli_configs_of_a_map_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "map.esg"
+    path.write_text("game A { event a +; }\nmap f : A -> A { a -> a; }\n")
+    assert run("-f", str(path), "configs", "f") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: configs expects a structure or strategy name\n"
+
+
+# ---- exact output text ------------------------------------------------------------
+
+# Canonical text of one definition of each strategy kind: a strategy, a bare
+# strategy with a named middle, and a test with n. and tick targets.
+CANONICAL = """game GC {
+  event c +;
+}
+
+es step {
+  event w 0;
+}
+
+strategy play : GC {
+  event s +;
+  assign s -> c;
+}
+
+bare probe : GC | step | GC {
+  event u -;
+  event v +;
+  event w 0;
+  cause u < w;
+  cause w < v;
+  assign u -> a.c;
+  assign v -> b.c;
+  assign w -> n.w;
+}
+
+test TAU : GC {
+  event tick +;
+  event u -;
+  event w 0;
+  cause u < w;
+  conflict tick ~ w;
+  assign tick -> tick;
+  assign u -> g.c;
+  assign w -> n.w;
+}
+"""
+
+
+def test_printer_writes_each_strategy_kind_exactly():
+    assert print_workspace(parse(CANONICAL)) == CANONICAL
+
+
+def test_dot_labels_each_strategy_kind_exactly():
+    ws = parse(CANONICAL)
+    assert export_dot(ws.get("play")) == """digraph "play" {
+  "s" [label="s\\nc", shape=box, style=filled, fillcolor="#bbbbbb"];
+}
+"""
+    assert export_dot(ws.get("probe")) == """digraph "probe" {
+  "u" [label="u\\na.c", shape=box];
+  "v" [label="v\\nb.c", shape=box, style=filled, fillcolor="#bbbbbb"];
+  "w" [label="w\\nn.w", shape=ellipse];
+  "u" -> "w";
+  "w" -> "v";
+}
+"""
+    assert export_dot(ws.get("TAU")) == """digraph "TAU" {
+  "tick" [label="tick\\ntick", shape=box, style=filled, fillcolor="#bbbbbb"];
+  "u" [label="u\\ng.c", shape=box];
+  "w" [label="w\\nn.w", shape=ellipse];
+  "u" -> "w";
+  "tick" -> "w" [style=dashed, dir=none];
+}
+"""
+
+
+def test_cli_par_suffixes_clashing_names(capsys):
+    assert run("-f", DEADLOCK, "par", "GB", "GB") == 0
+    assert capsys.readouterr().out == """game GB_par_GB {
+  event b1 +;
+  event b1_2 +;
+  event b2 +;
+  event b2_2 +;
+}
+"""
+
+
+def test_cli_interact_numbers_computed_events(capsys):
+    assert run("-f", DEADLOCK, "interact", "tau_bc", "sigma_or") == 0
+    assert capsys.readouterr().out == """game tau_bc_with_sigma_or_A {
+}
+
+es tau_bc_with_sigma_or_mid {
+  event e_2_b1 0;
+  event e_2_b2 0;
+}
+
+game GC {
+  event c +;
+}
+
+bare tau_bc_with_sigma_or : tau_bc_with_sigma_or_A | tau_bc_with_sigma_or_mid | GC {
+  event e1 0;
+  event e2 0;
+  event e3 +;
+  cause e2 < e3;
+  conflict e1 ~ e2;
+  assign e1 -> n.e_2_b1;
+  assign e2 -> n.e_2_b2;
+  assign e3 -> b.c;
+}
+"""
+
+
+@pytest.mark.parametrize("body, message", [
+    ("strategy s : G { event x +; assign x -> a.m; }",
+     "assign target a.m not allowed here (use plain) at 2:41"),
+    ("bare s : G | _ | G { event x +; assign x -> m; }",
+     "assign target m not allowed here (use a/n/b) at 2:45"),
+    ("test s : G { event x -; assign x -> b.m; }",
+     "assign target b.m not allowed here (use g/n/plain) at 2:37"),
+    ("test s : G { event x -; assign x -> m; }",
+     "bare target 'm'; use g. n. or tick at 2:37"),
+])
+def test_wrong_assign_prefix_message_and_position(body, message):
+    with pytest.raises(ParseError) as err:
+        parse("game G { event m +; }\n" + body)
+    assert str(err.value) == message
