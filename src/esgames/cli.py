@@ -28,8 +28,7 @@ SUBJECT_KINDS = STRATEGY_KINDS + ("stopping",)
 
 
 def _limits(args):
-    caps = {"max_configs": args.max_configs, "max_primes": args.max_primes,
-            "max_test_size": args.max_test_size}
+    caps = {"max_configs": args.max_configs, "max_primes": args.max_primes}
     return replace(DEFAULT_LIMITS,
                    **{k: v for k, v in caps.items() if v is not None})
 
@@ -375,7 +374,6 @@ def _build_parser():
                     help="input .esg file; may be repeated")
     ap.add_argument("--max-configs", type=int, default=None)
     ap.add_argument("--max-primes", type=int, default=None)
-    ap.add_argument("--max-test-size", type=int, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def cmd(name, fn, help_, positionals, out=False):

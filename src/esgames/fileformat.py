@@ -200,12 +200,16 @@ def _es_items(p):
             consistent.append(_event_block(p))
         elif word == "assign":
             s = p.ident("source event")
+            if s in assigns:
+                raise ParseError(f"event {s!r} assigned twice", line, col)
             p.expect("sym", "->")
             assigns[s] = _assign_target(p)
             p.expect("sym", ";")
         elif word == "stop":
             stops.append(_event_block(p))
         elif word == "strategy":
+            if ref is not None:
+                raise ParseError("strategy item given twice", line, col)
             ref = (p.ident("strategy name"), line, col)
             p.expect("sym", ";")
         else:
@@ -338,7 +342,7 @@ def parse(text, limits=DEFAULT_LIMITS, ws=None):
                     "a stopping body holds only strategy and stop items",
                     line, col)
             st = _wrap(name, line, col, StoppingStrategy, inner.obj,
-                       items["stops"], name=name, limits=limits)
+                       items["stops"], name=name)
             ws.add(Definition(kind, name, st, ref=refname), line, col)
 
         else:  # strategy, bare and test differ only in their headers

@@ -160,7 +160,7 @@ def scott_leq(pg, y, x):
             and all(pg.pol[e] in (PLUS, NEUTRAL) for e in x - common))
 
 
-def is_plus_maximal(pg, x, limits=DEFAULT_LIMITS):
+def is_plus_maximal(pg, x):
     """No extension of x by a Player or neutral event."""
     return not any(pg.pol[e] in (PLUS, NEUTRAL) for e in pg.es.extensions(x))
 

@@ -19,6 +19,8 @@ y of T pair exactly when their images on B agree and the two source orders,
 glued along that matching, are acyclic (see glue).
 """
 
+from functools import cached_property
+
 from .errors import (
     Cycle,
     EndpointMismatch,
@@ -32,7 +34,6 @@ from .games import (
     Polarised,
     component,
     dual,
-    is_plus_maximal,
     is_race_free,
     neutralise,
     parallel,
@@ -54,9 +55,7 @@ class SecuredBijection:
     """A matching of two configurations with equal images whose generated
     dependency relation is a partial order."""
 
-    def __init__(self, left, right, pairs, below):
-        self.left = frozenset(left)
-        self.right = frozenset(right)
+    def __init__(self, pairs, below):
         self.pairs = frozenset(pairs)
         self._below = below  # pair -> frozenset of pairs, reflexive
 
@@ -120,7 +119,7 @@ def secured_bijection(f, g, x, y):
             right_only=frozenset(set(gy) - set(fx)))
     pairs = frozenset((fx[u][0], gy[u][0]) for u in fx)
     below = _pair_order(f.src, g.src, pairs)
-    return SecuredBijection(x, y, pairs, below)
+    return SecuredBijection(pairs, below)
 
 
 # ---- pullback ---------------------------------------------------------------------
@@ -138,13 +137,9 @@ def prime_top(p):
     return p[2]
 
 
-class _Pullback:
-    """Raw result of the secured-bijection enumeration."""
-
-    def __init__(self, es, primes_of, maximal):
-        self.es = es
-        self.primes_of = primes_of  # bijection pairset -> frozenset of primes
-        self.maximal = maximal      # list of maximal bijection pairsets
+def _primes(pmap):
+    """The primes of one secured bijection, from its pair -> prime pairs map."""
+    return frozenset(prime_event(pr, top) for top, pr in pmap.items())
 
 
 def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
@@ -152,6 +147,8 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
 
     A new pair joins above everything present, so securedness is preserved;
     every secured bijection arises along a linearisation of its own order.
+    Returns the pullback's event structure and, for each secured bijection,
+    the map from each of its pairs to the pairs of the prime that pair tops.
     """
     by_img_right = {}
     for r, u in rmap.items():
@@ -213,14 +210,8 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
     for p in events:
         below[p] = frozenset(q for q in events
                              if prime_pairs(q) <= prime_pairs(p))
-    maxcons = [frozenset(prime_event(pr, prime_registry[pr])
-                         for pr in prime_map[th].values())
-               for th in maximal]
-    es = EventStructure(events, below, maxcons)
-    primes_of = {th: frozenset(prime_event(pr, prime_registry[pr])
-                               for pr in pm.values())
-                 for th, pm in prime_map.items()}
-    return _Pullback(es, primes_of, maximal)
+    maxcons = [_primes(prime_map[th]) for th in maximal]
+    return EventStructure(events, below, maxcons), prime_map
 
 
 def pullback(f, g, limits=DEFAULT_LIMITS):
@@ -232,19 +223,19 @@ def pullback(f, g, limits=DEFAULT_LIMITS):
     if f.dst != g.dst:
         raise EndpointMismatch("pullback needs a common target",
                                left=f.dst, right=g.dst)
-    pb = _enumerate_pullback(f.src, dict(f.mapping), g.src, dict(g.mapping),
-                             limits)
-    pi1 = ESMap(pb.es, f.src, {p: prime_top(p)[0] for p in pb.es.events})
-    pi2 = ESMap(pb.es, g.src, {p: prime_top(p)[1] for p in pb.es.events})
-    return pb.es, pi1, pi2
+    es, _ = _enumerate_pullback(f.src, dict(f.mapping), g.src,
+                                dict(g.mapping), limits)
+    pi1 = ESMap(es, f.src, {p: prime_top(p)[0] for p in es.events})
+    pi2 = ESMap(es, g.src, {p: prime_top(p)[1] for p in es.events})
+    return es, pi1, pi2
 
 
 def enumerate_secured_bijections(f, g, limits=DEFAULT_LIMITS):
     """All secured bijections of the two maps, as pair sets."""
-    pb = _enumerate_pullback(f.src, dict(f.mapping), g.src, dict(g.mapping),
-                             limits)
-    return sorted(pb.primes_of, key=lambda th: (len(th),
-                                                sorted(map(pairkey, th))))
+    _, prime_map = _enumerate_pullback(f.src, dict(f.mapping), g.src,
+                                       dict(g.mapping), limits)
+    return sorted(prime_map, key=lambda th: (len(th),
+                                             sorted(map(pairkey, th))))
 
 
 # ---- interaction ------------------------------------------------------------------
@@ -287,20 +278,19 @@ def _ambient_to_target(u):
 
 
 class Interaction(BareStrategy):
-    """The interaction of two bare strategies, with its two projections.
+    """The interaction of two bare strategies; its source events are primes."""
 
-    Source events are primes; pi1 and pi2 send a prime to the left and right
-    halves of its top pair.
-    """
-
-    def __init__(self, source, game_a, middle, game_b, assign,
-                 pi1, pi2, left, right, primes_of, name=""):
+    def __init__(self, source, game_a, middle, game_b, assign, prime_map,
+                 name=""):
         super().__init__(source, game_a, middle, game_b, assign, name=name)
-        self.pi1 = pi1
-        self.pi2 = pi2
-        self.left = left
-        self.right = right
-        self.primes_of = primes_of
+        self._prime_map = prime_map
+
+    @cached_property
+    def primes_of(self):
+        """Each secured bijection of the padded sources, as a pair set, mapped
+        to its set of primes, the interaction configuration it stands for.
+        Derived on first read."""
+        return {th: _primes(pm) for th, pm in self._prime_map.items()}
 
 
 def interact(sigma, tau, limits=DEFAULT_LIMITS, name=""):
@@ -313,12 +303,11 @@ def interact(sigma, tau, limits=DEFAULT_LIMITS, name=""):
     if sigma.B != tau.A:
         raise MiddleGameMismatch("the two strategies do not share a middle game")
     left, right, lmap, rmap = _padding(sigma, tau)
-    pb = _enumerate_pullback(left.es, lmap, right.es, rmap, limits)
+    es, prime_map = _enumerate_pullback(left.es, lmap, right.es, rmap, limits)
 
     pol = {}
     assign = {}
-    csource = {}
-    for p in pb.es.events:
+    for p in es.events:
         u = lmap[prime_top(p)[0]]
         assign[p] = _ambient_to_target(u)
         if component(u) == 1:
@@ -328,19 +317,16 @@ def interact(sigma, tau, limits=DEFAULT_LIMITS, name=""):
         else:
             pol[p] = NEUTRAL
 
-    source = Polarised(pb.es, pol, name=name or "interaction")
+    source = Polarised(es, pol, name=name or "interaction")
     middle = parallel(sigma.N, neutralise(sigma.B), tau.N)
-    pi1 = ESMap(pb.es, left.es, {p: prime_top(p)[0] for p in pb.es.events})
-    pi2 = ESMap(pb.es, right.es, {p: prime_top(p)[1] for p in pb.es.events})
-    return Interaction(source, sigma.A, middle, tau.B, assign,
-                       pi1, pi2, left, right, pb.primes_of,
+    return Interaction(source, sigma.A, middle, tau.B, assign, prime_map,
                        name=name or f"({tau.name} * {sigma.name})")
 
 
 def compose(sigma, tau, limits=DEFAULT_LIMITS, name=""):
     """Composition with hiding: the visible part of the interaction."""
     inter = interact(sigma, tau, limits)
-    vis, _, _ = visible_part(inter, limits)
+    vis, _, _ = visible_part(inter)
     vis.name = name or f"({tau.name} . {sigma.name})"
     return vis
 
@@ -399,7 +385,7 @@ def glue(sigma, tau, x, y):
         return None
 
 
-def pair_configs(sigma, tau, x, y, limits=DEFAULT_LIMITS, padding=None):
+def pair_configs(sigma, tau, x, y, padding=None):
     """The interaction and composition configurations induced by x and y.
 
     x is a configuration of sigma's source, y of tau's source. Returns
@@ -430,27 +416,27 @@ def _assert_race_free(*gs):
                               game=g, witness=wit)
 
 
-def _stopping_pairings(s, t, limits):
+def _stopping_pairings(s, t):
     """pair_configs of every stopping x of s and stopping y of t that meet on
     the middle game; only pairs with equal images on it are tried."""
     _assert_race_free(s.strat.A, s.strat.B, t.strat.B)
     by_image = s.stopping_by_image()
     for y in t.sorted_stopping():
         for x in by_image.get(t.strat.image_on(1, y), ()):
-            got = pair_configs(s.strat, t.strat, x, y, limits)
+            got = pair_configs(s.strat, t.strat, x, y)
             if got is not None:
                 yield got
 
 
 def interact_stopping(s, t, limits=DEFAULT_LIMITS):
     """Interaction of stopping strategies: pair the stopping sets."""
-    stopping = frozenset(got[0] for got in _stopping_pairings(s, t, limits))
+    stopping = frozenset(got[0] for got in _stopping_pairings(s, t))
     return interact(s.strat, t.strat, limits), stopping
 
 
 def compose_stopping(s, t, limits=DEFAULT_LIMITS, name=""):
     """Composition of stopping strategies: hide, pairing the stopping sets."""
-    stopping = {got[1] for got in _stopping_pairings(s, t, limits)}
+    stopping = {got[1] for got in _stopping_pairings(s, t)}
     comp = compose(s.strat, t.strat, limits, name=name)
     return StoppingStrategy(comp, stopping, name=name or comp.name)
 

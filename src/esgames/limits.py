@@ -7,8 +7,6 @@ from dataclasses import dataclass
 class EngineLimits:
     max_configs: int = 2 ** 20    # configuration / secured-bijection / trace cap
     max_primes: int = 4096        # pullback prime cap
-    max_test_size: int = 4        # bounded test enumeration event budget
-    iso_budget: int = 200_000     # isomorphism search nodes
 
 
 DEFAULT_LIMITS = EngineLimits()

@@ -176,10 +176,10 @@ def random_stopping(rng, st, limits=DEFAULT_LIMITS):
     configs = st.configurations(limits)
     stopping = set()
     for x in configs:
-        p = 0.7 if is_plus_maximal(st.source, x, limits) else 0.15
+        p = 0.7 if is_plus_maximal(st.source, x) else 0.15
         if rng.random() < p:
             stopping.add(x)
     if not stopping and rng.random() < 0.9:
-        maxes = [x for x in configs if is_plus_maximal(st.source, x, limits)]
+        maxes = [x for x in configs if is_plus_maximal(st.source, x)]
         stopping.add(rng.choice(maxes) if maxes else configs[-1])
     return StoppingStrategy(st, stopping)

@@ -85,8 +85,7 @@ def rigid_image_stopping(st, limits=DEFAULT_LIMITS):
     sigma0, f = rigid_image(st.strat, limits)
     stopping = {frozenset(f[s] for s in y) for y in st.stopping}
     return StoppingStrategy(sigma0, stopping,
-                            name=f"ri({st.name})" if st.name else "",
-                            limits=limits)
+                            name=f"ri({st.name})" if st.name else "")
 
 
 # ---- stopping-set lint ---------------------------------------------------------------
@@ -127,16 +126,16 @@ def lint_stopping(st, limits=DEFAULT_LIMITS):
             findings.append(LintFinding(NO_STOPPING_EXTENSION, x))
     dominated = sorted({x for y in st.sorted_stopping() for x in configs
                         if x <= y and x not in st.stopping
-                        and is_plus_maximal(src, x, limits)},
+                        and is_plus_maximal(src, x)},
                        key=src.es.config_key)
     findings += [LintFinding(DOMINATED_MAXIMAL_NOT_STOPPING, x)
                  for x in dominated]
     for y in st.sorted_stopping():
-        if not is_plus_maximal(src, y, limits):
+        if not is_plus_maximal(src, y):
             findings.append(LintFinding(STOPPING_NOT_PLUS_MAXIMAL, y,
                                         advisory=True))
     for x in configs:
-        if is_plus_maximal(src, x, limits) and x not in st.stopping:
+        if is_plus_maximal(src, x) and x not in st.stopping:
             findings.append(LintFinding(PLUS_MAXIMAL_NOT_STOPPING, x,
                                         advisory=True))
     return findings

@@ -30,7 +30,6 @@ from .games import (
     MINUS,
     NEUTRAL,
     PLUS,
-    Polarised,
     copycat,
     dual,
     is_plus_maximal,
@@ -220,7 +219,7 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
 # ---- visible part and stopping data ---------------------------------------------
 
 
-def visible_part(bs, limits=DEFAULT_LIMITS):
+def visible_part(bs):
     """Hide the middle: restrict the source to its non-neutral events.
 
     Returns (strategy, p, down) where p is the partial projection map from the
@@ -248,12 +247,12 @@ class StoppingStrategy:
     lint_stopping reports the informational checks.
     """
 
-    def __init__(self, strat, stopping, name="", limits=DEFAULT_LIMITS):
+    def __init__(self, strat, stopping, name=""):
         self.name = name or strat.name
         self.strat = strat
-        configs = set(strat.configurations(limits))
         stopping = frozenset(frozenset(x) for x in stopping)
-        bad = [x for x in stopping if x not in configs]
+        bad = [x for x in stopping
+               if not strat.source.es.is_configuration(x)]
         if bad:
             raise InvalidStructure([NotAConfiguration(
                 f"stopping member {sortedevents(x)} is not a configuration",
@@ -292,7 +291,7 @@ def stop_of(bs, limits=DEFAULT_LIMITS):
     """
     st = bs._stop_of.get(limits)
     if st is None:
-        vis, _, down = visible_part(bs, limits)
+        vis, _, down = visible_part(bs)
         stopping = {down(x) for x in bs.configurations(limits)
                     if is_plus_maximal(bs.source, x)}
         st = StoppingStrategy(vis, stopping,

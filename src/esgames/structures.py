@@ -514,15 +514,13 @@ def factorize(m):
 # ---- isomorphism search --------------------------------------------------------
 
 
-def find_isomorphism(e1, e2, label1=None, label2=None, budget=None,
-                     limits=DEFAULT_LIMITS):
+def find_isomorphism(e1, e2, label1=None, label2=None, budget=200_000):
     """Backtracking isomorphism search.
 
     Returns a dict event->event or None. When labels are given the isomorphism
-    must commute with them. Raises SearchBudgetExceeded past the node budget.
+    must commute with them. Raises SearchBudgetExceeded once more than budget
+    candidate pairs have been tried.
     """
-    if budget is None:
-        budget = limits.iso_budget
     if len(e1.events) != len(e2.events):
         return None
     label1 = label1 or {}

@@ -15,8 +15,8 @@ from .games import (MINUS, NEUTRAL, PLUS, Polarised, component, dual, game,
                     payload)
 from .interaction import glue
 from .limits import DEFAULT_LIMITS
-from .strategies import (BareStrategy, StoppingStrategy, bare_strategy,
-                         stop_of, strategy, visible_part)
+from .strategies import (StoppingStrategy, bare_strategy, stop_of, strategy,
+                         visible_part)
 from .structures import (ekey, event_structure, reflexive_closures,
                          sortedevents)
 
@@ -166,41 +166,43 @@ def _must_runs(tstop):
     return tstop._must_runs
 
 
+def _first_glued(sub, t, runs, by_image):
+    """The least (x, y) that glues: y from the test t's runs in their order,
+    x from the subject's configurations with y's image on the game; or None."""
+    for image, y in runs:
+        for x in by_image.get(image, ()):
+            if glue(sub, t, x, y) is not None:
+                return x, y
+    return None
+
+
 def may_pass(subject, test, limits=DEFAULT_LIMITS):
     """Some pairing of configurations reaches the success move.
 
-    A test configuration is tried only against the subject configurations
-    with the same image on the game, in configuration order, so the witness
-    is the least such pairing.
+    The test's ticking configurations are tried in configuration order, so
+    the witness is the least such pairing.
     """
     sub = _as_stopping(subject, limits)
     _check_test_shape(sub, test)
     tvis, runs = _may_runs(test, limits)
-    by_image = sub.strat.configurations_by_image(limits)
-    for image, y in runs:
-        for x in by_image.get(image, ()):
-            if glue(sub.strat, tvis, x, y) is not None:
-                return Verdict(True, (x, y))
-    return Verdict(False)
+    wit = _first_glued(sub.strat, tvis, runs,
+                       sub.strat.configurations_by_image(limits))
+    return Verdict(wit is not None, wit)
 
 
 def must_pass(subject, test, limits=DEFAULT_LIMITS):
     """Every stopping pairing reaches the success move.
 
     Both sides are taken at their stopping sets; the test's is derived with
-    stop_of. A pairing of stopping configurations whose test half lacks the
-    success move is the returned counterexample; as in may_pass, only
-    configurations with the same image on the game are paired.
+    stop_of. The least pairing of stopping configurations whose test half
+    lacks the success move is the returned counterexample.
     """
     sub = _as_stopping(subject, limits)
     _check_test_shape(sub, test)
     tstop = stop_of(test, limits)
-    by_image = sub.stopping_by_image()
-    for image, y in _must_runs(tstop):
-        for x in by_image.get(image, ()):
-            if glue(sub.strat, tstop.strat, x, y) is not None:
-                return Verdict(False, (x, y))
-    return Verdict(True)
+    wit = _first_glued(sub.strat, tstop.strat, _must_runs(tstop),
+                       sub.stopping_by_image())
+    return Verdict(wit is None, wit)
 
 
 # ---- the two preorders ---------------------------------------------------------------
@@ -415,12 +417,12 @@ def _forced_opponent_core(g):
             if all(g.pol[b] == PLUS for b in g.es.below(a))}
 
 
-def enumerate_tests(g, max_events=None, bare=False, limits=DEFAULT_LIMITS):
+def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
     """Every valid test over g with at most max_events source events.
 
     Exhaustive up to renaming of source events: candidate skeletons are cut by
     cheap necessary conditions, then validated in full. Intended for small
-    bounds; the default comes from limits.max_test_size.
+    bounds.
 
     The list is new on every call, but the tests in it are shared between
     calls on equal games: the last few enumerations are kept, keyed on the
@@ -428,8 +430,6 @@ def enumerate_tests(g, max_events=None, bare=False, limits=DEFAULT_LIMITS):
     another object, under another name, since names are not part of a
     game's value.
     """
-    if max_events is None:
-        max_events = limits.max_test_size
     return list(_enumerate_tests(g, max_events, bare, limits))
 
 

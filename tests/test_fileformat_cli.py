@@ -1,5 +1,6 @@
 """The .esg text format and the esg command line driver."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -515,3 +516,29 @@ def test_wrong_assign_prefix_message_and_position(body, message):
     with pytest.raises(ParseError) as err:
         parse("game G { event m +; }\n" + body)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("body, message", [
+    ("strategy s : G { event x +;\n  assign x -> m;\n  assign x -> m; }",
+     "event 'x' assigned twice at 4:3"),
+    ("strategy s : G { event x +; assign x -> m; }\n"
+     "stopping k {\n  strategy s;\n  strategy s;\n  stop { x }\n}",
+     "strategy item given twice at 5:3"),
+])
+def test_repeated_item_message_and_position(body, message):
+    with pytest.raises(ParseError) as err:
+        parse("game G { event m +; }\n" + body)
+    assert str(err.value) == message
+
+
+def test_cli_cap_flags_are_the_two_engine_caps(capsys):
+    flags = {s for action in cli._build_parser()._actions
+             for s in action.option_strings if s.startswith("--max-")}
+    assert flags == {"--max-configs", "--max-primes"}
+    readme = " ".join((FIXDIR.parent / "README.md").read_text().split())
+    sentence = re.search(r"[^.]*tighten the engine caps", readme).group()
+    assert set(re.findall(r"--max-[a-z-]+", sentence)) == flags
+    with pytest.raises(SystemExit) as exit_:
+        run("--max-test-size", "3", "check")
+    assert exit_.value.code == 2
+    assert "esg: error:" in capsys.readouterr().err

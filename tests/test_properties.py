@@ -16,6 +16,7 @@ from esgames.errors import (
     CycleInCause,
     ImageMismatch,
     InvalidStructure,
+    NotAConfiguration,
     NotReceptive,
 )
 from esgames.games import (
@@ -441,6 +442,40 @@ def test_rank_orders_are_the_ekey_orders(seed):
     stopping = [x for x in configs if rng.random() < 0.5]
     assert StoppingStrategy(strat, stopping).sorted_stopping() \
         == tuple(sorted(stopping, key=cfgkey))
+
+
+@given(seeds)
+@example(5)  # a source with both a causal pair and a conflict
+@settings(max_examples=60, deadline=None)
+def test_stopping_strategy_accepts_exactly_the_configurations(seed):
+    # candidates are all subsets of the source: on a source with causality or
+    # conflict they include sets that are not down-closed or not consistent
+    rng = random.Random(seed)
+    a, b = (random_game(rng, max_events=3, name=nm) for nm in "AB")
+    strat = random_strategy(rng, a, b)
+    configs = set(strat.configurations())
+    events = sorted(strat.source.events, key=ekey)
+    candidates = [frozenset(c) for r in range(len(events) + 1)
+                  for c in combinations(events, r)]
+    for x in candidates:
+        try:
+            StoppingStrategy(strat, [x])
+            accepted = True
+        except InvalidStructure as err:
+            accepted = False
+            assert [(type(d), d.data["member"]) for d in err.diagnostics] \
+                == [(NotAConfiguration, x)]
+        assert accepted == (x in configs)
+    picked = [x for x in candidates if rng.random() < 0.3]
+    rejected = [x for x in picked if x not in configs]
+    try:
+        StoppingStrategy(strat, picked)
+        diagnostics = []
+    except InvalidStructure as err:
+        diagnostics = err.diagnostics
+    assert all(isinstance(d, NotAConfiguration) for d in diagnostics)
+    assert sorted((d.data["member"] for d in diagnostics), key=cfgkey) \
+        == sorted(rejected, key=cfgkey)
 
 
 @given(seeds)
