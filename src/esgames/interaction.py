@@ -25,6 +25,7 @@ from .errors import (
     Cycle,
     EndpointMismatch,
     ImageMismatch,
+    MapNotTotal,
     MiddleGameMismatch,
     NotRaceFree,
     SizeBoundExceeded,
@@ -98,12 +99,30 @@ def _pair_order(src_left, src_right, pairs):
     return reflexive_closures(preds)
 
 
+def _check_maps(f, g):
+    """Raise EndpointMismatch unless f and g share a target, MapNotTotal
+    unless each is defined on exactly its source's events."""
+    if f.dst != g.dst:
+        raise EndpointMismatch("the two maps need a common target",
+                               left=f.dst, right=g.dst)
+    for m in (f, g):
+        if not m.is_total:
+            missing = m.src.events - m.mapping.keys()
+            extra = m.mapping.keys() - m.src.events
+            raise MapNotTotal(
+                f"map undefined on {sortedevents(missing)}" if missing else
+                f"map defined off its source on {sortedevents(extra)}",
+                events=frozenset(missing), unknown=frozenset(extra))
+
+
 def secured_bijection(f, g, x, y):
     """Match configuration x of f.src against y of g.src over a common target.
 
-    Raises ImageMismatch when the images differ as sets (or an image is
-    repeated), Cycle when the generated relation loops.
+    Raises EndpointMismatch or MapNotTotal when f and g are not total maps
+    into one target, ImageMismatch when the images differ as sets (or an
+    image is repeated), Cycle when the generated relation loops.
     """
+    _check_maps(f, g)
     x, y = frozenset(x), frozenset(y)
     fx = {}
     for e in x:
@@ -142,67 +161,86 @@ def _primes(pmap):
     return frozenset(prime_event(pr, top) for top, pr in pmap.items())
 
 
+def _side_tables(es):
+    """Each event's bit; for each event, its bit, the bits of its strict
+    causes and its membership mask, whose bit i is set when the event lies in
+    es.maxcons[i]; and the mask of the empty set, with every bit set."""
+    bit = {e: 1 << i for i, e in enumerate(es.ordered)}
+    mask = dict.fromkeys(es.events, 0)
+    for i, m in enumerate(es.maxcons):
+        for e in m:
+            mask[e] |= 1 << i
+    tables = {e: (b, sum(map(bit.__getitem__, es.below(e))) - b, mask[e])
+              for e, b in bit.items()}
+    return bit, tables, (1 << len(es.maxcons)) - 1
+
+
 def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
     """BFS over secured bijections, extending by one enabled matched pair.
 
     A new pair joins above everything present, so securedness is preserved;
     every secured bijection arises along a linearisation of its own order.
+    Each frontier entry carries, per side, its set of events as bits and the
+    AND of its members' masks: a set is consistent exactly when that AND is
+    non-zero, so enabling a pair costs a few integer operations.
     Returns the pullback's event structure and, for each secured bijection,
     the map from each of its pairs to the pairs of the prime that pair tops.
     """
+    lbit, ltab, lfull = _side_tables(left_es)
+    rbit, rtab, rfull = _side_tables(right_es)
     by_img_right = {}
     for r, u in rmap.items():
-        by_img_right.setdefault(u, []).append(r)
+        by_img_right.setdefault(u, []).append((r, *rtab[r]))
+    partners = [(l, *ltab[l], rs) for l in left_es.ordered
+                if (rs := by_img_right.get(lmap[l]))]
 
     start = frozenset()
     prime_map = {start: {}}   # bijection -> {pair: frozenset of pairs}
-    frontier = [start]
+    frontier = [(start, 0, 0, lfull, rfull)]
     maximal = []
     seen = {start}
     prime_registry = {}       # pairset -> top pair
 
-    def register(pairs, top):
-        prime_registry.setdefault(pairs, top)
-        if len(prime_registry) > limits.max_primes:
-            raise SizeBoundExceeded(
-                f"more than {limits.max_primes} interaction events",
-                cap=limits.max_primes)
-
     while frontier:
         nxt = []
-        for th in frontier:
+        for th, lefts, rights, lmask, rmask in frontier:
             pmap = prime_map[th]
-            lefts = frozenset(p[0] for p in th)
-            rights = frozenset(p[1] for p in th)
-            ext = []
-            for l in left_es.extensions(lefts):
-                for r in by_img_right.get(lmap[l], ()):
-                    if r in rights:
-                        continue
-                    if right_es.strict_below(r) <= rights \
-                            and right_es.is_consistent(rights | {r}):
-                        ext.append((l, r))
-            if not ext:
-                maximal.append(th)
-                continue
-            for (l, r) in ext:
-                th2 = th | {(l, r)}
-                if th2 in seen:
+            grown = False
+            for l, lb, lcauses, lcons, rs in partners:
+                if lefts & lb or lcauses & ~lefts:
                     continue
-                seen.add(th2)
-                if len(seen) > limits.max_configs:
-                    raise SizeBoundExceeded(
-                        f"more than {limits.max_configs} secured bijections",
-                        cap=limits.max_configs)
-                pr = {(l, r)}
-                for q in th:
-                    if q[0] in left_es.strict_below(l) \
-                            or q[1] in right_es.strict_below(r):
-                        pr |= pmap[q]
-                pr = frozenset(pr)
-                register(pr, (l, r))
-                prime_map[th2] = {**pmap, (l, r): pr}
-                nxt.append(th2)
+                lm = lmask & lcons
+                if not lm:
+                    continue
+                for r, rb, rcauses, rcons in rs:
+                    if rights & rb or rcauses & ~rights:
+                        continue
+                    rm = rmask & rcons
+                    if not rm:
+                        continue
+                    grown = True
+                    th2 = th | {(l, r)}
+                    if th2 in seen:
+                        continue
+                    seen.add(th2)
+                    if len(seen) > limits.max_configs:
+                        raise SizeBoundExceeded(
+                            f"more than {limits.max_configs} secured bijections",
+                            cap=limits.max_configs)
+                    pr = {(l, r)}
+                    for q, qpr in pmap.items():
+                        if lbit[q[0]] & lcauses or rbit[q[1]] & rcauses:
+                            pr |= qpr
+                    pr = frozenset(pr)
+                    prime_registry.setdefault(pr, (l, r))
+                    if len(prime_registry) > limits.max_primes:
+                        raise SizeBoundExceeded(
+                            f"more than {limits.max_primes} interaction events",
+                            cap=limits.max_primes)
+                    prime_map[th2] = {**pmap, (l, r): pr}
+                    nxt.append((th2, lefts | lb, rights | rb, lm, rm))
+            if not grown:
+                maximal.append(th)
         frontier = nxt
 
     events = [prime_event(pairs, top) for pairs, top in prime_registry.items()]
@@ -220,9 +258,7 @@ def pullback(f, g, limits=DEFAULT_LIMITS):
     Returns (P, pi1, pi2): the event structure of primes with the projections
     sending a prime to the two halves of its top pair.
     """
-    if f.dst != g.dst:
-        raise EndpointMismatch("pullback needs a common target",
-                               left=f.dst, right=g.dst)
+    _check_maps(f, g)
     es, _ = _enumerate_pullback(f.src, dict(f.mapping), g.src,
                                 dict(g.mapping), limits)
     pi1 = ESMap(es, f.src, {p: prime_top(p)[0] for p in es.events})
@@ -231,7 +267,9 @@ def pullback(f, g, limits=DEFAULT_LIMITS):
 
 
 def enumerate_secured_bijections(f, g, limits=DEFAULT_LIMITS):
-    """All secured bijections of the two maps, as pair sets."""
+    """All secured bijections of the two total maps into one target, as pair
+    sets."""
+    _check_maps(f, g)
     _, prime_map = _enumerate_pullback(f.src, dict(f.mapping), g.src,
                                        dict(g.mapping), limits)
     return sorted(prime_map, key=lambda th: (len(th),
@@ -305,13 +343,14 @@ def interact(sigma, tau, limits=DEFAULT_LIMITS, name=""):
     left, right, lmap, rmap = _padding(sigma, tau)
     es, prime_map = _enumerate_pullback(left.es, lmap, right.es, rmap, limits)
 
+    a_pol = dual(sigma.A).pol
     pol = {}
     assign = {}
     for p in es.events:
         u = lmap[prime_top(p)[0]]
         assign[p] = _ambient_to_target(u)
         if component(u) == 1:
-            pol[p] = dual(sigma.A).pol[payload(u)]
+            pol[p] = a_pol[payload(u)]
         elif component(u) == 5:
             pol[p] = tau.B.pol[payload(u)]
         else:

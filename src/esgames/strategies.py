@@ -57,6 +57,7 @@ class BareStrategy:
         self._stop_of = {}  # limits -> stop_of(self, limits)
         self._by_image = {}  # limits -> configurations_by_image(limits)
         self._may_runs = {}  # limits -> testing's table of ticking runs
+        self._matched_game = None  # testing: the last game A was checked equal to
 
     @property
     def is_strategy(self):

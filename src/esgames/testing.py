@@ -131,9 +131,14 @@ def _check_test_shape(subject, test):
                            left=subject.strat.A)
     if test.B != success_game():
         raise GameMismatch("a test must target the success game", right=test.B)
-    if test.A != subject.strat.B:
-        raise GameMismatch("subject and test play different games",
-                           left=subject.strat.B, right=test.A)
+    # a shared test meets many subjects over equal but distinct games: each
+    # game object is compared once, as long as it is the last one met
+    game = subject.strat.B
+    if test._matched_game is not game:
+        if test.A != game:
+            raise GameMismatch("subject and test play different games",
+                               left=game, right=test.A)
+        test._matched_game = game
 
 
 def _ticks(bs, y):

@@ -4,7 +4,7 @@ import pytest
 
 from esgames import fixtures as fx
 from esgames.errors import (Cycle, EndpointMismatch, ImageMismatch,
-                            MiddleGameMismatch, NotRaceFree)
+                            MapNotTotal, MiddleGameMismatch, NotRaceFree)
 from esgames.games import (
     EMPTY,
     MINUS,
@@ -15,7 +15,6 @@ from esgames.games import (
     game,
     is_plus_maximal,
     payload,
-    slice_config,
 )
 from esgames.interaction import (
     compose,
@@ -24,14 +23,12 @@ from esgames.interaction import (
     interact,
     interact_stopping,
     pair_configs,
-    prime_pairs,
     prime_top,
     pullback,
     secured_bijection,
     transport_two_cell,
 )
 from esgames.strategies import (
-    StoppingStrategy,
     copycat_strategy,
     saturate_stopping,
     stop_of,
@@ -355,3 +352,23 @@ def test_pullback_needs_a_common_target():
     g = ESMap(dem, fx.buttons().es, {"x": "b1", "y": "b2"})
     with pytest.raises(EndpointMismatch):
         pullback(f, g)
+
+
+def test_secured_bijection_entry_points_need_total_maps_into_one_target():
+    g = event_structure(["a", "b"])
+    ident = ESMap(g, g, {"a": "a", "b": "b"})
+    partial = ESMap(g, g, {"a": "a"})
+    other = ESMap(g, event_structure(["a", "b"]), {"a": "a", "b": "b"})
+    elsewhere = ESMap(g, event_structure(["a", "b", "c"]),
+                      {"a": "a", "b": "b"})
+    entry_points = [lambda f, h: secured_bijection(f, h, fs("a"), fs("a")),
+                    pullback, enumerate_secured_bijections]
+    for run in entry_points:
+        for f, h in ((ident, partial), (partial, ident)):
+            with pytest.raises(MapNotTotal) as err:
+                run(f, h)
+            assert err.value.data["events"] == fs("b")
+        with pytest.raises(EndpointMismatch):
+            run(ident, elsewhere)
+        # an equal target built apart is a common target
+        assert run(ident, other) is not None

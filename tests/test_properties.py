@@ -7,6 +7,7 @@ games and strategies deterministically, so every failure replays.
 import random
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from esgames.errors import (
     InvalidStructure,
     NotAConfiguration,
     NotReceptive,
+    SizeBoundExceeded,
 )
 from esgames.games import (
     EMPTY,
@@ -29,19 +31,20 @@ from esgames.games import (
     is_deterministic,
     is_race_free,
     minus_subset,
-    parallel,
-    plus_maximal_configs,
     scott_leq,
     slice_config,
 )
 from esgames.interaction import (
     _padding,
+    enumerate_secured_bijections,
     glue,
+    interact,
     pair_configs,
     prime_event,
     prime_top,
     secured_bijection,
 )
+from esgames.limits import EngineLimits
 from esgames.randgen import (
     _random_source,
     _target_shape,
@@ -281,6 +284,68 @@ def test_glue_is_the_padded_secured_bijection(seed):
                 assert frozenset(prime_event(b, p)
                                  for p, b in below.items()) == want[0]
             assert pair_configs(sigma, tau, x, y) == want
+
+
+def padded_bare_pair(seed):
+    """Two composable random bare strategies over games of up to 2 events,
+    whose conflicts give the padded sides several maximal consistent sets."""
+    rng = random.Random(seed)
+    a, b, c = (random_game(rng, 2, name=n) for n in "ABC")
+    return random_bare(rng, a, b), random_bare(rng, b, c)
+
+
+def secured_bijections_exhaustively(left, right, lmap, rmap):
+    """Every pair of configurations of the padded sides that secured_bijection
+    accepts, as its pair set, with the primes those bijections have; a pair
+    whose images differ raises ImageMismatch, so only equal images are tried."""
+    f, g = ESMap(left.es, None, lmap), ESMap(right.es, None, rmap)
+    by_image = {}
+    for y in right.es.configurations():
+        by_image.setdefault(frozenset(rmap[e] for e in y), []).append(y)
+    bijections, primes = set(), set()
+    for x in left.es.configurations():
+        for y in by_image.get(frozenset(lmap[e] for e in x), ()):
+            try:
+                theta = secured_bijection(f, g, x, y)
+            except (ImageMismatch, Cycle):
+                continue
+            bijections.add(theta.pairs)
+            primes.update(theta.below(p) for p in theta.pairs)
+    return bijections, primes
+
+
+@given(seeds)
+@example(10)  # conflicts on both padded sides
+@example(25)  # three maximal consistent sets on the left
+@settings(max_examples=30, deadline=None)
+def test_pullback_enumeration_is_exhaustive_and_capped_exactly(seed):
+    sigma, tau = padded_bare_pair(seed)
+    left, right, lmap, rmap = padding = _padding(sigma, tau)
+    bijections, primes = secured_bijections_exhaustively(*padding)
+    got = enumerate_secured_bijections(ESMap(left.es, None, lmap),
+                                       ESMap(right.es, None, rmap))
+    assert len(got) == len(bijections) and set(got) == bijections
+    for cap, count in (("max_configs", len(bijections)),
+                       ("max_primes", len(primes))):
+        for k in {max(count - 1, 0), count}:
+            limits = EngineLimits(**{cap: k})
+            if count > k:
+                with pytest.raises(SizeBoundExceeded) as err:
+                    interact(sigma, tau, limits)
+                assert err.value.data == {"cap": k}
+            else:
+                inter = interact(sigma, tau, limits)
+                assert len(inter._prime_map) == len(bijections)
+                assert len(inter.source.events) == len(primes)
+
+
+def test_padded_pairs_have_conflicts_on_both_sides():
+    # the pairs above reach sides with several maximal consistent sets
+    both = 0
+    for seed in range(40):
+        left, right, _, _ = _padding(*padded_bare_pair(seed))
+        both += len(left.es.maxcons) > 1 and len(right.es.maxcons) > 1
+    assert both >= 3
 
 
 def all_pairs_verdict(kind, subject, test):

@@ -34,13 +34,12 @@ from esgames.strategies import (
     in_game_strategy,
     saturate_stopping,
     stop_of,
-    strategy,
     two_cell_visible,
     validate_bare_strategy,
     validate_two_cell,
     visible_part,
 )
-from esgames.structures import ESMap, EventStructure, event_structure
+from esgames.structures import EventStructure, event_structure
 
 
 def fs(*xs):

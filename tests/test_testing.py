@@ -542,3 +542,27 @@ def test_a_second_run_of_a_test_enumerates_nothing(monkeypatch, bare):
             calls.clear()
             run(subjects[1], t)
             assert all(es is own for es in calls)
+
+
+def test_a_test_compares_a_game_object_once(monkeypatch):
+    # two equal games built apart, down to their event structures
+    g1, g2 = (game(event_structure(["a", "b"], [("a", "b")]),
+                   {"a": MINUS, "b": PLUS}) for _ in range(2))
+    rng = random.Random(5)
+    subject = random_stopping(rng, random_in_game_strategy(rng, g2))
+    test = enumerate_tests(g1, 2, bare=True)[-1]
+    assert test.A == g2 and test.A.es is not g2.es
+    compared = []
+    original = EventStructure.__eq__
+
+    def counted(self, other):
+        if self is not other:
+            compared.append(self)
+        return original(self, other)
+
+    monkeypatch.setattr(EventStructure, "__eq__", counted)
+    must_pass(subject, test)
+    assert compared
+    compared.clear()
+    must_pass(subject, test)
+    assert compared == []
