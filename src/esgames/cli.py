@@ -10,9 +10,8 @@ from dataclasses import replace
 from functools import partial
 
 from .errors import EsgError, ParseError
-from .fileformat import (Definition, Workspace, _clean, _minimal_clashes,
-                         _naming, _ws_name_for, export_dot, parse_file,
-                         print_workspace, shape_kind)
+from .fileformat import (Definition, Workspace, _clean, _naming, _ws_name_for,
+                         export_dot, parse_file, print_workspace, shape_kind)
 from .games import NEUTRAL, Polarised, dual, parallel, payload
 from .interaction import compose, compose_stopping, interact, interact_stopping
 from .limits import DEFAULT_LIMITS
@@ -38,7 +37,7 @@ def _load(args, limits):
     for path in args.file or ():
         try:
             parse_file(path, limits, ws)
-        except ParseError as err:
+        except (ParseError, UnicodeDecodeError) as err:
             raise ParseError(f"{path}: {err}") from err
     return ws
 
@@ -201,7 +200,7 @@ def _cmd_relations(ws, args, limits):
     for (a, b) in sorted(es.immediate_pairs(),
                          key=lambda p: (names[p[0]], names[p[1]])):
         print(f"cause {names[a]} < {names[b]}")
-    for (a, b) in _minimal_clashes(es):
+    for (a, b) in es.minimal_conflicts():
         print(f"conflict {names[a]} ~ {names[b]}")
     for (a, b) in sorted(es.concurrent_pairs(),
                          key=lambda p: (names[p[0]], names[p[1]])):
@@ -234,36 +233,21 @@ def _cmd_par(ws, args, limits):
     return out.emit(args)
 
 
-def _pair(ws, args):
+def _run_pairing(ws, args, limits, word, plain, stopping, kind):
+    """TAU after SIGMA by plain, or by stopping on two stopping definitions,
+    printed as a definition named TAU_word_SIGMA."""
     t = ws.get(args.tau, SUBJECT_KINDS)
     s = ws.get(args.sigma, SUBJECT_KINDS)
     if (t.kind == "stopping") != (s.kind == "stopping"):
         raise ParseError("compose/interact take two plain strategies or two"
                          " stopping strategies, not a mixture")
-    return t, s
-
-
-def _cmd_compose(ws, args, limits):
-    t, s = _pair(ws, args)
     out = _Out(ws)
-    base = f"{t.name}_after_{s.name}"
+    base = f"{t.name}_{word}_{s.name}"
     if t.kind == "stopping":
-        got = compose_stopping(s.obj, t.obj, limits)
-        out.stopping_def(got, base, strat_base=f"{base}_strat")
+        out.stopping_def(stopping(s.obj, t.obj, limits), base,
+                         strat_base=f"{base}_strat")
     else:
-        out.strategy_def(compose(s.obj, t.obj, limits), base)
-    return out.emit(args)
-
-
-def _cmd_interact(ws, args, limits):
-    t, s = _pair(ws, args)
-    out = _Out(ws)
-    base = f"{t.name}_with_{s.name}"
-    if t.kind == "stopping":
-        got = interact_stopping(s.obj, t.obj, limits)
-        out.stopping_def(got, base, strat_base=f"{base}_strat")
-    else:
-        out.strategy_def(interact(s.obj, t.obj, limits), base, kind="bare")
+        out.strategy_def(plain(s.obj, t.obj, limits), base, kind=kind)
     return out.emit(args)
 
 
@@ -400,10 +384,15 @@ def _build_parser():
     cmd("dual", _cmd_dual, "polarity-reversed structure", ["name"], out=True)
     cmd("par", _cmd_par, "parallel composition of structures",
         ["names+"], out=True)
-    cmd("compose", _cmd_compose, "composition with hiding (tau after sigma)",
-        ["tau", "sigma"], out=True)
-    cmd("interact", _cmd_interact, "interaction, internal events kept",
-        ["tau", "sigma"], out=True)
+    cmd("compose", partial(_run_pairing, word="after", plain=compose,
+                           stopping=compose_stopping, kind=None),
+        "composition with hiding (tau after sigma)", ["tau", "sigma"],
+        out=True)
+    cmd("interact", partial(
+            _run_pairing, word="with", plain=interact, kind="bare",
+            stopping=lambda s, t, limits: StoppingStrategy(
+                *interact_stopping(s, t, limits))),
+        "interaction, internal events kept", ["tau", "sigma"], out=True)
     cmd("st", _cmd_st, "visible part with induced stopping set",
         ["name"], out=True)
     cmd("saturate", _cmd_saturate, "all maximal configurations as stopping",
@@ -441,6 +430,11 @@ def main(argv=None):
         return args.fn(ws, args, limits)
     except EsgError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:
+        if err.filename is None:  # not a file the command was given
+            raise
+        print(f"error: {err.filename}: {err.strerror}", file=sys.stderr)
         return 2
 
 

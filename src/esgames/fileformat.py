@@ -63,8 +63,7 @@ def tokenize(text):
             toks.append(("num", text[i:j], line, col))
             col += j - i
             i = j
-        elif c.isalpha():
-            m = _ID.match(text, i)
+        elif m := _ID.match(text, i):  # ASCII: another letter is unexpected
             toks.append(("id", m.group(), line, col))
             col += len(m.group())
             i = m.end()
@@ -437,15 +436,13 @@ def _naming(events, base=_ident):
 def _binary_family(es):
     """Conflict pairs that regenerate the consistency family exactly, else
     None. Minimal pairs are preferred; hereditary closure recovers the rest."""
-    evs = sortedevents(es.events)
-    all_pairs = [(a, b) for i, a in enumerate(evs) for b in evs[i + 1:]
-                 if not es.is_consistent({a, b})]
+    all_pairs = es.inconsistent_pairs()
     if not all_pairs:
         return [] if len(es.maxcons) == 1 else None
-    causes = [(c, e) for e in evs for c in es.strict_below(e)]
-    for pairs in (_minimal_clashes(es), all_pairs):
+    causes = [(c, e) for e in es.ordered for c in es.strict_below(e)]
+    for pairs in (es.minimal_conflicts(), all_pairs):
         try:
-            redone = event_structure(evs, causes, pairs)
+            redone = event_structure(es.ordered, causes, pairs)
         except InvalidStructure:
             continue
         if set(redone.maxcons) == set(es.maxcons):
@@ -561,25 +558,6 @@ def _target(kind, comp, name):
 # ---- DOT export ------------------------------------------------------------------
 
 
-def _minimal_clashes(es):
-    """Inconsistent pairs not inherited from an inconsistent pair below."""
-    evs = sortedevents(es.events)
-    bad = set()
-    for i, a in enumerate(evs):
-        for b in evs[i + 1:]:
-            if not es.is_consistent({a, b}):
-                bad.add(frozenset((a, b)))
-    out = []
-    for pair in bad:
-        a, b = sortedevents(pair)
-        dominated = (
-            any(frozenset((a2, b)) in bad for a2 in es.strict_below(a))
-            or any(frozenset((a, b2)) in bad for b2 in es.strict_below(b)))
-        if not dominated:
-            out.append((a, b))
-    return sorted(out, key=lambda p: (ekey(p[0]), ekey(p[1])))
-
-
 _SHAPE = {PLUS: 'shape=box, style=filled, fillcolor="#bbbbbb"',
           MINUS: "shape=box",
           NEUTRAL: "shape=ellipse"}
@@ -615,7 +593,7 @@ def export_dot(defn):
     for (c, e) in sorted(pg.es.immediate_pairs(),
                          key=lambda p: (ekey(p[0]), ekey(p[1]))):
         out.append(f'  "{names[c]}" -> "{names[e]}";')
-    for (a, b) in _minimal_clashes(pg.es):
+    for (a, b) in pg.es.minimal_conflicts():
         out.append(f'  "{names[a]}" -> "{names[b]}" [style=dashed, dir=none];')
     out.append("}")
     return "\n".join(out) + "\n"

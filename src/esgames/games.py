@@ -180,27 +180,26 @@ def is_race_free(pg, limits=DEFAULT_LIMITS):
     each side suffices: a minimal inconsistent pair of extensions shrinks to a
     single added event on each side.
     """
-    for x in pg.es.configurations(limits):
-        ext = pg.es.extensions(x)
-        plus = [e for e in ext if pg.pol[e] in (PLUS, NEUTRAL)]
-        minus = [e for e in ext if pg.pol[e] == MINUS]
-        for e in plus:
-            for f in minus:
-                if not pg.es.is_consistent(x | {e, f}):
-                    return False, (x, x | {e}, x | {f})
-    return True, None
+    return _first_clash(pg, (MINUS,), limits)
 
 
 def is_deterministic(pg, limits=DEFAULT_LIMITS):
     """True iff a Player-or-neutral extension is compatible with every other
     extension. Same single-event reduction as is_race_free."""
+    return _first_clash(pg, POLARITIES, limits)
+
+
+def _first_clash(pg, rivals, limits):
+    """The first x, Player-or-neutral extension e and other extension f with
+    a polarity in rivals such that x | {e, f} is inconsistent, if any."""
     for x in pg.es.configurations(limits):
         ext = pg.es.extensions(x)
         for e in ext:
-            if pg.pol[e] not in (PLUS, NEUTRAL):
+            if pg.pol[e] == MINUS:
                 continue
             for f in ext:
-                if f != e and not pg.es.is_consistent(x | {e, f}):
+                if f != e and pg.pol[f] in rivals \
+                        and not pg.es.is_consistent(x | {e, f}):
                     return False, (x, x | {e}, x | {f})
     return True, None
 

@@ -78,24 +78,20 @@ class SecuredBijection:
         return f"<secured bijection: {len(self.pairs)} pairs>"
 
 
-def _pair_order(src_left, src_right, pairs):
-    """Reflexive down-closure of each pair under the generated relation.
+def _glued_order(left_below, left_pairs, right_below, right_pairs):
+    """Reflexive down-closure of each pair, a pair lying above the pairs of
+    its two events' causes; each side gives its source's below and its event
+    -> pair map, and causes without a pair are skipped. The left side is
+    inserted first, so a Cycle names the same nodes whatever the caller.
 
     Raises Cycle when the relation is not acyclic.
     """
-    by_left = {p[0]: p for p in pairs}
-    by_right = {p[1]: p for p in pairs}
-    preds = {}
-    for p in pairs:
-        l, r = p
-        pp = set()
-        for l2 in src_left.strict_below(l):
-            if l2 in by_left:
-                pp.add(by_left[l2])
-        for r2 in src_right.strict_below(r):
-            if r2 in by_right:
-                pp.add(by_right[r2])
-        preds[p] = pp
+    preds = {p: {left_pairs[d] for d in left_below(e)
+                 if d != e and d in left_pairs}
+             for e, p in left_pairs.items()}
+    for e, p in right_pairs.items():
+        preds.setdefault(p, set()).update(
+            right_pairs[d] for d in right_below(e) if d != e and d in right_pairs)
     return reflexive_closures(preds)
 
 
@@ -137,7 +133,8 @@ def secured_bijection(f, g, x, y):
             left_only=frozenset(set(fx) - set(gy)),
             right_only=frozenset(set(gy) - set(fx)))
     pairs = frozenset((fx[u][0], gy[u][0]) for u in fx)
-    below = _pair_order(f.src, g.src, pairs)
+    below = _glued_order(f.src.below, {p[0]: p for p in pairs},
+                         g.src.below, {p[1]: p for p in pairs})
     return SecuredBijection(pairs, below)
 
 
@@ -186,6 +183,10 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
     Returns the pullback's event structure and, for each secured bijection,
     the map from each of its pairs to the pairs of the prime that pair tops.
     """
+    if limits.max_configs < 1:  # the empty bijection counts as one
+        raise SizeBoundExceeded(
+            f"more than {limits.max_configs} secured bijections",
+            cap=limits.max_configs)
     lbit, ltab, lfull = _side_tables(left_es)
     rbit, rtab, rfull = _side_tables(right_es)
     by_img_right = {}
@@ -412,14 +413,9 @@ def glue(sigma, tau, x, y):
     if s_on_b:
         return None
 
-    sbelow, tbelow = sigma.source.es.below, tau.source.es.below
-    preds = {p: {pair_of_s[d] for d in sbelow(s) if d != s}
-             for s, p in pair_of_s.items()}
-    for t, p in pair_of_t.items():
-        preds.setdefault(p, set()).update(
-            pair_of_t[d] for d in tbelow(t) if d != t)
     try:
-        return reflexive_closures(preds)
+        return _glued_order(sigma.source.es.below, pair_of_s,
+                            tau.source.es.below, pair_of_t)
     except Cycle:
         return None
 

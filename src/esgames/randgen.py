@@ -53,11 +53,7 @@ def _target_shape(A, middle_events, B):
     for i, g in ((1, A), (3, B)):
         for (c, e) in g.es.immediate_pairs():
             order.append(((i, c), (i, e)))
-        evs = sortedevents(g.events)
-        for x, c in enumerate(evs):
-            for e in evs[x + 1:]:
-                if not g.es.is_consistent({c, e}):
-                    clashes.append(((i, c), (i, e)))
+        clashes += [((i, c), (i, e)) for c, e in g.es.inconsistent_pairs()]
     return pol, order, clashes
 
 
@@ -132,17 +128,8 @@ def _fallback_source(tpol, torder, tclashes):
 
 def random_strategy(rng, A, B, limits=DEFAULT_LIMITS):
     """A valid strategy from A to B (neutral-free source)."""
-    tpol, torder, tclashes = _target_shape(A, (), B)
-    for _ in range(ATTEMPTS):
-        events, causes, conflicts, pol, assign = _random_source(
-            rng, tpol, torder, tclashes)
-        try:
-            src = Polarised(event_structure(events, causes, conflicts), pol)
-            return strategy(src, A, B, assign, limits=limits)
-        except InvalidStructure:
-            continue
-    src, assign = _fallback_source(tpol, torder, tclashes)
-    return strategy(src, A, B, assign, limits=limits)
+    return _draw(rng, A, (), B, lambda src, assign: strategy(
+        src, A, B, assign, limits=limits))
 
 
 def random_in_game_strategy(rng, g, limits=DEFAULT_LIMITS):
@@ -156,17 +143,23 @@ def random_bare(rng, A, B, max_neutrals=2, limits=DEFAULT_LIMITS,
     middle_events = [f"n{i}" for i in range(k)]
     middle = Polarised(event_structure(middle_events),
                        {m: NEUTRAL for m in middle_events})
+    return _draw(rng, A, middle_events, B, lambda src, assign: bare_strategy(
+        src, A, middle, B, assign, limits=limits))
+
+
+def _draw(rng, A, middle_events, B, build):
+    """build(source, assign) on random candidates over dual(A) || N || B
+    until one validates, else on the fallback source."""
     tpol, torder, tclashes = _target_shape(A, middle_events, B)
     for _ in range(ATTEMPTS):
         events, causes, conflicts, pol, assign = _random_source(
             rng, tpol, torder, tclashes)
         try:
-            src = Polarised(event_structure(events, causes, conflicts), pol)
-            return bare_strategy(src, A, middle, B, assign, limits=limits)
+            return build(Polarised(event_structure(events, causes, conflicts),
+                                   pol), assign)
         except InvalidStructure:
             continue
-    src, assign = _fallback_source(tpol, torder, tclashes)
-    return bare_strategy(src, A, middle, B, assign, limits=limits)
+    return build(*_fallback_source(tpol, torder, tclashes))
 
 
 def random_stopping(rng, st, limits=DEFAULT_LIMITS):

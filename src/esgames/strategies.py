@@ -374,11 +374,11 @@ def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
                     f"image of stopping {sortedevents(x)} is not stopping",
                     x=x, image=f.image(x)))
     elif kind == "plus_reflecting":
-        src_configs = bsrc.source.configurations(limits)
-        images = {frozenset(f.image(x)) for x in src_configs}
+        src_configs = bsrc.configurations(limits)
+        dst_configs = bdst.configurations(limits)
         for x in src_configs:
             fx = f.image(x)
-            for y in bdst.source.configurations(limits):
+            for y in dst_configs:
                 if not plus_subset(bdst.source, fx, y):
                     continue
                 if not any(x <= x2 and f.image(x2) == y for x2 in src_configs):

@@ -142,6 +142,23 @@ class EventStructure:
                 out.add((a, b))
         return frozenset(out)
 
+    def inconsistent_pairs(self):
+        """The pairs (a, b), a before b, that consistency rejects; pairs and
+        events in ekey order."""
+        return [(a, b) for a, b in combinations(self.ordered, 2)
+                if not self.is_consistent({a, b})]
+
+    def minimal_conflicts(self):
+        """The inconsistent pairs not inherited from an inconsistent pair
+        below, in ekey order."""
+        pairs = self.inconsistent_pairs()
+        bad = set(map(frozenset, pairs))
+        return [(a, b) for a, b in pairs
+                if not any(frozenset((a2, b)) in bad
+                           for a2 in self.strict_below(a))
+                and not any(frozenset((a, b2)) in bad
+                            for b2 in self.strict_below(b))]
+
     # ---- consistency and configurations -------------------------------------
 
     def is_consistent(self, xs):
@@ -391,10 +408,6 @@ def event_structure(events, causes=(), conflicts=(), consistent=None, name=""):
 
 def enumerate_configurations(es, limits=DEFAULT_LIMITS):
     return es.configurations(limits)
-
-
-def down_closure(es, xs):
-    return es.down_closure(xs)
 
 
 def derive_relations(es):

@@ -275,16 +275,6 @@ def _saturation(g, t1):
             if all(g.pol[b] == PLUS for b in g.es.below(a) - t1)}
 
 
-def _game_conflicts(g, moves):
-    """The pairs of moves that the game's consistency rejects.
-
-    A test that holds both moves of such a pair consistent would map an
-    inconsistent set onto the game.
-    """
-    return [(a, b) for a, b in combinations(sortedevents(moves), 2)
-            if not g.es.is_consistent({a, b})]
-
-
 def _reversal_edges(v2, configs, t1, pos):
     """One order-reversing edge per configuration of v2 with image t1.
 
@@ -324,6 +314,37 @@ def _flip(g):
     return {a: d.pol[a] for a in g.events}
 
 
+def _replay(v2, gap, configs, own, limits):
+    """The gap trace replayed against v2 over configs(), the configurations
+    of v2 that count: the game, the trace's moves t1, their saturation t1p,
+    the causes of t1p (the game's order, then the reversal edges), the
+    game's conflicts among t1p and the swapped polarities of t1p.
+
+    configs() runs only once the trace is known to be made of moves of one
+    game; NotAGap(own) is raised when one of them realises the trace.
+    """
+    if v2.A.events:
+        raise GameMismatch("tests are synthesised over a single game")
+    g = v2.B
+    _, trace = gap
+    alpha = _gap_payloads(g, trace)
+    t1 = set(alpha)
+    configs = configs()
+    if tuple((3, a) for a in alpha) in _trace_index(v2, configs, limits):
+        raise NotAGap(own, trace=trace)
+    pos = {a: i for i, a in enumerate(alpha)}
+    t1p = _saturation(g, t1)
+    causes = [(b, a) for a in t1p for b in g.es.strict_below(a) & t1p]
+    causes += [(alpha[i], alpha[j])
+               for i, j in _reversal_edges(v2, configs, t1, pos)]
+    # a test that holds both moves of a game conflict consistent would map
+    # an inconsistent set onto the game
+    conflicts = [(a, b) for a, b in g.es.inconsistent_pairs()
+                 if a in t1p and b in t1p]
+    pol = _flip(g)
+    return g, t1, t1p, causes, conflicts, {a: pol[a] for a in t1p}
+
+
 def synthesize_may_test(sigma2, gap, limits=DEFAULT_LIMITS):
     """A neutral-free test that the gap's owner may-passes and sigma2 does not.
 
@@ -334,26 +355,14 @@ def synthesize_may_test(sigma2, gap, limits=DEFAULT_LIMITS):
     in.
     """
     v2 = _visible(sigma2)
-    if v2.A.events:
-        raise GameMismatch("tests are synthesised over a single game")
-    g = v2.B
-    x1, alpha1 = gap
-    alpha = _gap_payloads(g, alpha1)
-    t1 = set(alpha)
-    if tuple((3, a) for a in alpha) in finite_traces(v2, limits):
-        raise NotAGap("the trace is one of sigma2's own", trace=alpha1)
-    pos = {a: i for i, a in enumerate(alpha)}
-    t1p = _saturation(g, t1)
-    causes = [(b, a) for a in t1p for b in g.es.strict_below(a) & t1p]
-    causes += [(alpha[i], alpha[j])
-               for i, j in _reversal_edges(
-                   v2, v2.source.configurations(limits), t1, pos)]
+    g, t1, t1p, causes, conflicts, pols = _replay(
+        v2, gap, lambda: v2.source.configurations(limits),
+        "the trace is one of sigma2's own", limits)
     tick = TICK if TICK not in t1p else ("k", TICK)
     causes += [(t, tick) for t in t1 if g.pol[t] == PLUS]
-    pol = _flip(g)
     src = Polarised(event_structure(sortedevents(t1p) + (tick,), causes,
-                                    _game_conflicts(g, t1p)),
-                    {a: pol[a] for a in t1p} | {tick: PLUS})
+                                    conflicts),
+                    pols | {tick: PLUS})
     assign = {a: (1, a) for a in t1p} | {tick: (3, TICK)}
     return strategy(src, g, success_game(), assign,
                     name="separating-test", limits=limits)
@@ -371,36 +380,22 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
     """
     if not isinstance(s2, StoppingStrategy):
         raise GameMismatch("must synthesis runs against a stopping strategy")
-    v2 = s2.strat
-    if v2.A.events:
-        raise GameMismatch("tests are synthesised over a single game")
-    g = v2.B
-    x1, alpha1 = gap
-    alpha = _gap_payloads(g, alpha1)
-    t1 = set(alpha)
-    if tuple((3, a) for a in alpha) in stopping_traces(s2, limits):
-        raise NotAGap("the trace is one of s2's stopping traces", trace=alpha1)
-    pos = {a: i for i, a in enumerate(alpha)}
-    t1p = _saturation(g, t1)
+    g, t1, t1p, causes, conflicts, pols = _replay(
+        s2.strat, gap, s2.sorted_stopping,
+        "the trace is one of s2's stopping traces", limits)
     shadow, success = _fresh_tag("n", t1p), _fresh_tag("v", t1p)
     shadows = {t: (shadow, t) for t in t1 if g.pol[t] == PLUS}
     ticks = {t: (success, t) for t in t1p}
 
-    causes = [(b, a) for a in t1p for b in g.es.strict_below(a) & t1p]
-    causes += [(alpha[i], alpha[j])
-               for i, j in _reversal_edges(v2, s2.sorted_stopping(), t1, pos)]
     causes += [(t, n) for t, n in shadows.items()]
     causes += [(a, ticks[a]) for a in t1p - t1]
 
-    conflicts = _game_conflicts(g, t1p)
     conflicts += combinations(sortedevents(ticks.values()), 2)
     conflicts += [(t, ticks[t]) for t in t1 if g.pol[t] == MINUS]
     conflicts += [(n, ticks[t]) for t, n in shadows.items()]
 
     events = (sortedevents(t1p) + sortedevents(shadows.values())
               + sortedevents(ticks.values()))
-    pol = _flip(g)
-    pols = {a: pol[a] for a in t1p}
     pols |= {n: NEUTRAL for n in shadows.values()}
     pols |= {v: PLUS for v in ticks.values()}
     src = Polarised(event_structure(events, causes, conflicts), pols)

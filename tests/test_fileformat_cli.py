@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esgames import cli
 from esgames import fixtures as fx
@@ -542,3 +544,158 @@ def test_cli_cap_flags_are_the_two_engine_caps(capsys):
         run("--max-test-size", "3", "check")
     assert exit_.value.code == 2
     assert "esg: error:" in capsys.readouterr().err
+
+
+# ---- unreadable input and stray characters -------------------------------------------
+
+
+def test_non_ascii_letter_is_an_unexpected_character(tmp_path, capsys):
+    with pytest.raises(ParseError) as err:
+        parse("game G { event é +; }")
+    assert str(err.value) == "unexpected character 'é' at 1:16"
+    path = tmp_path / "accent.esg"
+    path.write_text("game G { event é +; }", encoding="utf-8")
+    assert run("-f", str(path), "check") == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: unexpected character 'é' at 1:16\n")
+
+
+# grammar words, so that draws reach past the tokenizer, and a few strays
+WORDS = ("es game map strategy bare test stopping event cause conflict"
+         " consistent assign stop tick G H a b c g.a n.w a.a b.a { } ; : |"
+         " ~ < -> + - 0 _ . é 1 #").split()
+
+
+def _one_replaced(path):
+    text = Path(path).read_text()
+    return st.tuples(st.integers(0, len(text) - 1), st.characters()).map(
+        lambda ic: text[:ic[0]] + ic[1] + text[ic[0] + 1:])
+
+
+@given(st.one_of(st.text(max_size=40),
+                 st.lists(st.sampled_from(WORDS), max_size=24).map(" ".join),
+                 _one_replaced(DEADLOCK), _one_replaced(NEUTRAL)))
+@settings(max_examples=150, deadline=None)
+def test_parse_returns_or_raises_a_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
+def _latin1_file(tmp):
+    path = tmp / "latin1.esg"
+    path.write_bytes(b"game G { event \xe9 +; }")
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: tmp / "missing.esg",
+    lambda tmp: tmp,
+    _latin1_file,
+], ids=["missing", "directory", "invalid-utf8"])
+def test_cli_unreadable_file_is_a_usage_error(tmp_path, capsys, make):
+    path = make(tmp_path)
+    assert run("-f", str(path), "check") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["dual", "GB"], ["dot", "GB"]])
+def test_cli_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys,
+                                                           command):
+    target = tmp_path / "nowhere" / "out.txt"
+    assert run("-f", DEADLOCK, *command, "--out", str(target)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {target}: No such file or directory\n"
+
+
+# ---- exact output of paths the fixtures do not reach ---------------------------------
+
+def _stopping_pair_file(tmp_path):
+    text = Path(DEADLOCK).read_text() + """
+stopping S {
+  strategy sigma_or;
+  stop { s1 };
+  stop { s2 };
+}
+
+stopping T {
+  strategy tau_bc;
+  stop { t1 };
+  stop { t2 t3 };
+}
+"""
+    path = tmp_path / "stopping_pair.esg"
+    path.write_text(text)
+    return str(path)
+
+
+def test_cli_compose_of_stopping_definitions_exactly(tmp_path, capsys):
+    assert run("-f", _stopping_pair_file(tmp_path), "compose", "T", "S") == 0
+    assert capsys.readouterr().out == """game GC {
+  event c +;
+}
+
+strategy T_after_S_strat : GC {
+  event e1 +;
+  assign e1 -> c;
+}
+
+stopping T_after_S {
+  strategy T_after_S_strat;
+  stop { };
+  stop { e1 };
+}
+"""
+
+
+def test_cli_interact_of_stopping_definitions_exactly(tmp_path, capsys):
+    # t1 answers s1 and stops; t2 answers s2 and t3 follows
+    assert run("-f", _stopping_pair_file(tmp_path), "interact", "T", "S") == 0
+    out = capsys.readouterr().out
+    assert out == """game T_with_S_strat_A {
+}
+
+es T_with_S_strat_mid {
+  event e_2_b1 0;
+  event e_2_b2 0;
+}
+
+game GC {
+  event c +;
+}
+
+bare T_with_S_strat : T_with_S_strat_A | T_with_S_strat_mid | GC {
+  event e1 0;
+  event e2 0;
+  event e3 +;
+  cause e2 < e3;
+  conflict e1 ~ e2;
+  assign e1 -> n.e_2_b1;
+  assign e2 -> n.e_2_b2;
+  assign e3 -> b.c;
+}
+
+stopping T_with_S {
+  strategy T_with_S_strat;
+  stop { e1 };
+  stop { e2 e3 };
+}
+"""
+    assert print_workspace(parse(out)) == out
+
+
+def test_cli_relations_lists_causes_conflicts_and_concurrency(tmp_path,
+                                                              capsys):
+    # b inherits a's conflict with c, so only a ~ c is minimal
+    path = tmp_path / "relations.esg"
+    path.write_text("game G { event a +; event b +; event c -; event d -;"
+                    " cause a < b; conflict a ~ c; }")
+    assert run("-f", str(path), "relations", "G") == 0
+    assert capsys.readouterr().out == (
+        "cause a < b\nconflict a ~ c\n"
+        "concurrent a | d\nconcurrent b | d\nconcurrent c | d\n")

@@ -323,3 +323,19 @@ def test_validation_enumerates_the_source_once(monkeypatch):
         bs.configurations_by_image()
         assert [es for es in calls if es is bs.source.es] == [bs.source.es]
         calls.clear()
+
+
+def test_plus_reflection_enumerates_each_side_once(monkeypatch):
+    small, big = fx.press_b2(), fx.press_either()
+    calls = []
+    original = EventStructure.configurations
+
+    def counted(self, limits=DEFAULT_LIMITS):
+        calls.append(self)
+        return original(self, limits)
+
+    monkeypatch.setattr(EventStructure, "configurations", counted)
+    diags = validate_two_cell({"s": "s2"}, small, big, "plus_reflecting")
+    assert any(isinstance(d, NotPlusReflecting) for d in diags)
+    for side in (small, big):
+        assert len([es for es in calls if es is side.source.es]) <= 1

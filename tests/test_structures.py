@@ -140,6 +140,17 @@ def test_down_closure():
         es.down_closure({"nope"})
 
 
+def test_inconsistent_and_minimal_conflict_pairs():
+    # b1 and b2 inherit a1's conflict with a2; only a1 ~ a2 is minimal
+    es = event_structure(["a1", "a2", "b1", "b2", "c"],
+                         causes=[("a1", "b1"), ("a2", "b2")],
+                         conflicts=[("a2", "a1")])
+    assert es.inconsistent_pairs() == [
+        ("a1", "a2"), ("a1", "b2"), ("a2", "b1"), ("b1", "b2")]
+    assert es.minimal_conflicts() == [("a1", "a2")]
+    assert chain("a", "b").inconsistent_pairs() == []
+
+
 def test_configuration_cap():
     es = event_structure(["a", "b", "c"])
     with pytest.raises(SizeBoundExceeded):

@@ -498,6 +498,25 @@ def test_must_synthesis_separates_saturated_concurrent_moves():
     assert must_pass(s2, t) and not must_pass(s1, t)
 
 
+def test_must_synthesis_reverses_the_order_of_the_other_strategy():
+    # S2 answers o with p, S1 plays both at once: the gap p o is one of S1's
+    # stopping traces only, and the test puts p below o, against S2's order
+    g = game(event_structure(["o", "p"]), {"o": MINUS, "p": PLUS})
+
+    def stopping_at_both(causes):
+        src = Polarised(event_structure(["so", "sp"], causes=causes),
+                        {"so": MINUS, "sp": PLUS})
+        st = in_game_strategy(src, g, {"so": "o", "sp": "p"})
+        return StoppingStrategy(st, {fs("so", "sp")})
+
+    s1, s2 = stopping_at_both([]), stopping_at_both([("so", "sp")])
+    ok, gap = must_preorder(s1, s2)
+    assert not ok and gap[1] == ((3, "p"), (3, "o"))
+    t = synthesize_must_test(s2, gap)
+    assert t.source.es.leq("p", "o")
+    assert must_pass(s2, t) and not must_pass(s1, t)
+
+
 @pytest.mark.parametrize("other", [("x", "b"), ("n", "a")])
 def test_must_synthesis_over_moves_mixing_strings_and_tuples(other):
     # ("x", "b") cannot be ordered against "a" by plain comparison, and
