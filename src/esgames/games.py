@@ -123,7 +123,7 @@ def parallel(*parts, name=""):
     below = {}
     pol = {}
     for i, p in enumerate(parts, start=1):
-        for e in p.es.events:
+        for e in p.es.ordered:
             below[(i, e)] = frozenset((i, d) for d in p.es.below(e))
             pol[(i, e)] = p.pol[e]
     maxcons = []
@@ -132,7 +132,8 @@ def parallel(*parts, name=""):
         for i, mi in enumerate(combo, start=1):
             m |= {(i, e) for e in mi}
         maxcons.append(frozenset(m))
-    es = EventStructure(below.keys(), below, maxcons, name=name)
+    # (i, e) sorts by i, then as e does: the components' orders, in turn
+    es = EventStructure._in_order(below.keys(), below, maxcons, name=name)
     return Polarised(es, pol, name=name)
 
 
@@ -236,8 +237,8 @@ def copycat(A, name=""):
             u0 = {(1, a) for a in m1} | {(2, a) for a in m2}
             maxcons.add(frozenset(e for e in u0 if below[e] <= u0))
 
-    cc_es = EventStructure(target.es.events, below, maxcons,
-                           name=name or (A.name and f"cc({A.name})"))
+    cc_es = EventStructure._in_order(target.es.ordered, below, maxcons,
+                                     name=name or (A.name and f"cc({A.name})"))
     cc = Polarised(cc_es, dict(target.pol), name=cc_es.name)
     ccmap = ESMap(cc_es, target.es, {e: e for e in cc_es.events})
     return cc, ccmap

@@ -244,13 +244,22 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
                 maximal.append(th)
         frontier = nxt
 
-    events = [prime_event(pairs, top) for pairs, top in prime_registry.items()]
+    # a prime's ekey compares its sorted pairs, then its top, and each side's
+    # rank orders that side's events as ekey does
+    lrank, rrank = left_es.rank, right_es.rank
+
+    def rank_key(item):
+        pairs, (l, r) = item
+        return sorted((lrank[a], rrank[b]) for a, b in pairs), (lrank[l], rrank[r])
+
+    events = [prime_event(pairs, top)
+              for pairs, top in sorted(prime_registry.items(), key=rank_key)]
     below = {}
     for p in events:
         below[p] = frozenset(q for q in events
                              if prime_pairs(q) <= prime_pairs(p))
     maxcons = [_primes(prime_map[th]) for th in maximal]
-    return EventStructure(events, below, maxcons), prime_map
+    return EventStructure._in_order(events, below, maxcons), prime_map
 
 
 def pullback(f, g, limits=DEFAULT_LIMITS):

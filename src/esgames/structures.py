@@ -58,10 +58,23 @@ class EventStructure:
     """
 
     def __init__(self, events, below, maxcons, name=""):
+        self._build(frozenset(events), None, below, maxcons, name)
+
+    @classmethod
+    def _in_order(cls, ordered, below, maxcons, name=""):
+        """The structure over the events of ordered, which its builder
+        already knows to be in ekey order: they are taken as its order, and
+        nothing is sorted by ekey."""
+        es = cls.__new__(cls)
+        ordered = tuple(ordered)
+        es._build(frozenset(ordered), ordered, below, maxcons, name)
+        return es
+
+    def _build(self, events, ordered, below, maxcons, name):
         self.name = name
-        self.events = frozenset(events)
-        self._below = {e: frozenset(below[e]) for e in self.events}
-        self._ordered = None
+        self.events = events
+        self._below = {e: frozenset(below[e]) for e in events}
+        self._ordered = ordered
         self._rank = None
         self._above = None
         self._immediate = None
@@ -183,6 +196,10 @@ class EventStructure:
 
     def configurations(self, limits=DEFAULT_LIMITS):
         """All configurations, smallest first, deterministic order."""
+        if limits.max_configs < 1:  # the empty configuration counts as one
+            raise SizeBoundExceeded(
+                f"more than {limits.max_configs} configurations",
+                cap=limits.max_configs)
         seen = {frozenset()}
         frontier = [frozenset()]
         while frontier:
@@ -211,7 +228,11 @@ class EventStructure:
                                events=unknown)
         below = {e: self._below[e] & keep for e in keep}
         maxcons = [m & keep for m in self.maxcons]
-        return EventStructure(keep, below, maxcons, name=self.name)
+        if self._ordered is None:
+            return EventStructure(keep, below, maxcons, name=self.name)
+        return EventStructure._in_order(
+            [e for e in self._ordered if e in keep], below, maxcons,
+            name=self.name)
 
     # ---- identity -------------------------------------------------------------
 
@@ -301,42 +322,61 @@ def diagnose_structure(events, causes=(), conflicts=(), consistent=None):
                     member=m, closure=frozenset(closure)))
         maxcons = declared
     else:
-        pairs = set()
+        pairs = {}  # each pair once, as first declared
         for a, b in conflicts:
             if known(a, "conflict") and known(b, "conflict"):
                 if a == b:
                     diags.append(InconsistentSingleton(
                         f"event {a!r} conflicts with itself", event=a))
                 else:
-                    pairs.add(frozenset((a, b)))
-        # hereditary closure: a conflict propagates to causal successors
-        above = {e: {f for f in events if e in below[f]} for e in events}
-        closed = set()
-        for pr in pairs:
-            a, b = tuple(pr)
-            for a2 in above[a]:
-                for b2 in above[b]:
-                    if a2 == b2:
-                        diags.append(InconsistentSingleton(
-                            f"event {a2!r} is above conflicting events"
-                            f" {a!r} ~ {b!r}", event=a2, pair=(a, b)))
-                    else:
-                        closed.add(frozenset((a2, b2)))
+                    pairs.setdefault(frozenset((a, b)), (a, b))
+        closed, clashes = inherited_conflicts(below, pairs.values())
+        for e, (a, b) in clashes:
+            diags.append(InconsistentSingleton(
+                f"event {e!r} is above conflicting events {a!r} ~ {b!r}",
+                event=e, pair=(a, b)))
         if any(isinstance(d, InconsistentSingleton) for d in diags):
             return diags, None
-        if closed:
-            compatible = {e: evset - {e} for e in events}
-            for pr in closed:
-                a, b = tuple(pr)
-                compatible[a] = compatible[a] - {b}
-                compatible[b] = compatible[b] - {a}
-            maxcons = _maximal_cliques(compatible)
-        else:
-            maxcons = [frozenset(events)]
+        maxcons = maximal_consistent_sets(events, closed)
 
     if diags:
         return diags, None
     return diags, EventStructure(events, below, maxcons)
+
+
+def inherited_conflicts(below, conflicts):
+    """Binary conflicts closed upward: {a2, b2} for every a2 above a and b2
+    above b of each conflict (a, b), with below(e) the reflexive
+    down-closure of each event e.
+
+    Returns the closed pairs, as frozensets, and a clash (e, (a, b)) for
+    each event e above both a and b, which would conflict with itself.
+    """
+    above = {e: [] for e in below}
+    for f, down in below.items():
+        for d in down:
+            above[d].append(f)
+    closed, clashes = set(), []
+    for a, b in conflicts:
+        for a2 in above[a]:
+            for b2 in above[b]:
+                if a2 == b2:
+                    clashes.append((a2, (a, b)))
+                else:
+                    closed.add(frozenset((a2, b2)))
+    return closed, clashes
+
+
+def maximal_consistent_sets(events, closed):
+    """The maximal consistent sets of events under the closed binary
+    conflicts: the maximal cliques of the graph joining compatible events."""
+    if not closed:
+        return [frozenset(events)]
+    compatible = {e: set(events) - {e} for e in events}
+    for a, b in map(tuple, closed):
+        compatible[a].discard(b)
+        compatible[b].discard(a)
+    return _maximal_cliques(compatible)
 
 
 def reflexive_closures(preds):

@@ -7,7 +7,8 @@ and in the must sense when every stopping pairing does.
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import (chain, combinations, combinations_with_replacement,
+                       groupby, permutations, product)
 
 from .errors import (Cycle, GameMismatch, InvalidStructure, NotAGap,
                      SizeBoundExceeded)
@@ -17,8 +18,9 @@ from .interaction import glue
 from .limits import DEFAULT_LIMITS
 from .strategies import (StoppingStrategy, bare_strategy, stop_of, strategy,
                          visible_part)
-from .structures import (ekey, event_structure, reflexive_closures,
-                         sortedevents)
+from .structures import (EventStructure, ekey, event_structure,
+                         inherited_conflicts, maximal_consistent_sets,
+                         reflexive_closures, sortedevents)
 
 TICK = "tick"
 
@@ -418,11 +420,13 @@ def _forced_opponent_core(g):
 
 
 def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
-    """Every valid test over g with at most max_events source events.
+    """Every valid test over g with at most max_events source events, one
+    per isomorphism class.
 
-    Exhaustive up to renaming of source events: candidate skeletons are cut by
-    cheap necessary conditions, then validated in full. Intended for small
-    bounds.
+    Tests that differ only by a renaming of source events form a class, and
+    the first of each class in candidate order is the one listed: candidate
+    skeletons are cut by cheap necessary conditions and by their canonical
+    form, then validated in full. Intended for small bounds.
 
     The list is new on every call, but the tests in it are shared between
     calls on equal games: the last few enumerations are kept, keyed on the
@@ -434,33 +438,56 @@ def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
 
 
 # Enumerations kept by _enumerate_tests; one budget-4 bare enumeration over a
-# one-move Opponent game holds about 6 200 tests.
+# one-move Opponent game holds about 820 tests.
 _KEPT_ENUMERATIONS = 8
 
 
 @lru_cache(maxsize=_KEPT_ENUMERATIONS)
 def _enumerate_tests(g, max_events, bare, limits):
     pol = _flip(g)
+    found = []
+    for combo in _combos(g, max_events, bare):
+        found.extend(_skeletons(g, pol, combo, limits))
+    return tuple(found)
+
+
+def _combos(g, max_events, bare):
+    """The sorted tuples of (kind, move) a test's source events can take:
+    ("g", a) for a copy of the move a of g, ("t", None) for a success move
+    and, when bare, ("n", None) for a neutral event. Each move of the forced
+    core is copied exactly once."""
     kinds = [("g", a) for a in g.es.ordered] + [("t", None)]
     if bare:
         kinds.append(("n", None))
     core = _forced_opponent_core(g)
-    found = []
     for n in range(max_events + 1):
         for combo in combinations_with_replacement(kinds, n):
             gpart = [a for k, a in combo if k == "g"]
-            if any(sum(1 for b in gpart if b == a) != 1 for a in core):
-                continue
-            found.extend(_skeletons(g, pol, combo, limits))
-    return tuple(found)
+            if all(gpart.count(a) == 1 for a in core):
+                yield combo
 
 
-def _skeletons(g, pol, combo, limits):
+def _labelling(pol, combo):
+    """The polarity and the assignment of each source event 0..n-1; a
+    neutral event i plays the middle event i."""
+    pols, assign = {}, {}
+    for i, (kind, a) in enumerate(combo):
+        if kind == "g":
+            pols[i], assign[i] = pol[a], (1, a)
+        elif kind == "n":
+            pols[i], assign[i] = NEUTRAL, (2, i)
+        else:
+            pols[i], assign[i] = PLUS, (3, TICK)
+    return pols, assign
+
+
+def _candidates(g, combo, pols):
+    """Each acyclic set of cause edges over the slots that combo allows,
+    with its down-closures and the pairs that may then be declared in
+    conflict."""
     n = len(combo)
     kind = [k for k, _ in combo]
     move = [a for _, a in combo]
-    pols = [pol[move[i]] if kind[i] == "g" else
-            (PLUS if kind[i] == "t" else NEUTRAL) for i in range(n)]
 
     slots = []
     for i, j in combinations(range(n), 2):
@@ -482,10 +509,72 @@ def _skeletons(g, pol, combo, limits):
 
     for edges in _subsets(slots):
         below = _closures(n, edges)
-        if below is None:
-            continue
-        for confl in _subsets(_without_common_successor(below, conflictable)):
-            yield from _finish_skeleton(g, combo, pols, edges, confl, limits)
+        if below is not None:
+            yield edges, below, _without_common_successor(below, conflictable)
+
+
+def _block_permutations(combo):
+    """The renamings p (event i becomes p[i]) that keep every event's combo
+    entry. Events with equal entries are interchangeable, and combo is
+    sorted, so these permute each run of equal entries within itself."""
+    blocks = [tuple(run) for _, run in
+              groupby(range(len(combo)), key=combo.__getitem__)]
+    return [tuple(chain.from_iterable(images))
+            for images in product(*map(permutations, blocks))]
+
+
+def _pair_bits(pairs, p, n):
+    """The pairs (a, b), renamed by p, as a set of bits."""
+    bits = 0
+    for a, b in pairs:
+        bits |= 1 << (p[a] * n + p[b])
+    return bits
+
+
+def _skeletons(g, pol, combo, limits):
+    """The valid tests over combo, one per isomorphism class.
+
+    A candidate is fixed by its strict order and its conflicts closed
+    upward. Its canonical key is the least pair of their bit sets over the
+    renamings that keep combo: the least order, then the least conflicts
+    among the renamings that reach it. These renamings keep polarities,
+    assignments and the middle too, so a class is valid or not as a whole:
+    the first candidate of each class is built and validated, and the
+    others are skipped.
+    """
+    n = len(combo)
+    pols, assign = _labelling(pol, combo)
+    neutrals = [i for i in range(n) if combo[i][0] == "n"]
+    middle = Polarised(event_structure(neutrals),
+                       {i: NEUTRAL for i in neutrals})
+    perms = _block_permutations(combo)
+    seen = set()
+    for _, below, free in _candidates(g, combo, pols):
+        order = [(a, b) for b in range(n) for a in below[b] if a != b]
+        order_bits = [_pair_bits(order, p, n) for p in perms]
+        least = min(order_bits)
+        fixing = [p for p, bits in zip(perms, order_bits) if bits == least]
+        for confl in _subsets(free):
+            closed, _ = inherited_conflicts(below, confl)
+            both = [(a, b) for pr in closed for a, b in permutations(pr)]
+            key = least, min(_pair_bits(both, p, n) for p in fixing)
+            if key in seen:
+                continue
+            seen.add(key)
+            try:
+                yield bare_strategy(Polarised(_structure(n, below, closed), pols),
+                                    g, middle, success_game(), assign,
+                                    limits=limits)
+            except InvalidStructure:
+                continue
+
+
+def _structure(n, below, closed):
+    """The events 0..n-1 with their down-closures below and the closed
+    conflicts: _closures rules out cycles and _without_common_successor
+    self-conflict, so the structure is built without diagnosis."""
+    return EventStructure(range(n), below,
+                          maximal_consistent_sets(range(n), closed))
 
 
 def _subsets(items):
@@ -513,27 +602,3 @@ def _without_common_successor(below, pairs):
     """
     return [(i, j) for i, j in pairs
             if not any(i in b and j in b for b in below.values())]
-
-
-def _finish_skeleton(g, combo, pols, edges, confl, limits):
-    n = len(combo)
-    kind = [k for k, _ in combo]
-    move = [a for _, a in combo]
-    try:
-        src = Polarised(event_structure(list(range(n)), edges, confl),
-                        dict(enumerate(pols)))
-        neutrals = [i for i in range(n) if kind[i] == "n"]
-        middle = Polarised(event_structure(neutrals),
-                           {i: NEUTRAL for i in neutrals})
-        assign = {}
-        for i in range(n):
-            if kind[i] == "g":
-                assign[i] = (1, move[i])
-            elif kind[i] == "n":
-                assign[i] = (2, i)
-            else:
-                assign[i] = (3, TICK)
-        yield bare_strategy(src, g, middle, success_game(), assign,
-                            limits=limits)
-    except InvalidStructure:
-        return

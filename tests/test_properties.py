@@ -5,6 +5,7 @@ games and strategies deterministically, so every failure replays.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -28,9 +29,11 @@ from esgames.games import (
     PLUS,
     Polarised,
     copycat,
+    dual,
     is_deterministic,
     is_race_free,
     minus_subset,
+    parallel,
     scott_leq,
     slice_config,
 )
@@ -58,17 +61,30 @@ from esgames.rigid import rigid_image_stopping
 from esgames.strategies import (
     BareStrategy,
     StoppingStrategy,
+    bare_strategy,
     saturate_stopping,
     stop_of,
     validate_bare_strategy,
     validate_two_cell,
     visible_part,
 )
-from esgames.structures import ESMap, cfgkey, ekey, event_structure
+from esgames.structures import (
+    ESMap,
+    cfgkey,
+    ekey,
+    event_structure,
+    find_isomorphism,
+    inherited_conflicts,
+    sortedevents,
+)
 from esgames.testing import (
     TICK,
     Verdict,
+    _candidates,
     _closures,
+    _combos,
+    _flip,
+    _structure,
     _subsets,
     _without_common_successor,
     enumerate_tests,
@@ -76,6 +92,7 @@ from esgames.testing import (
     may_pass,
     must_pass,
     stopping_traces,
+    success_game,
     traces_of,
 )
 
@@ -579,3 +596,140 @@ def test_cause_cycles_are_cycles_of_the_declared_causes(seed):
         assert all(edge in causes for edge in zip(cycle, cycle[1:]))
     else:
         raise AssertionError("a two-event cycle was accepted")
+
+
+# ---- test enumeration up to isomorphism ---------------------------------------
+
+
+def combo_polarities(pol, combo):
+    return {i: pol[a] if k == "g" else PLUS if k == "t" else NEUTRAL
+            for i, (k, a) in enumerate(combo)}
+
+
+def exhaustive_tests(g, max_events, bare):
+    """Every valid test over g in candidate order, relabellings included:
+    each candidate built through event_structure and validated in full."""
+    pol = _flip(g)
+    found = []
+    for combo in _combos(g, max_events, bare):
+        n = len(combo)
+        pols = combo_polarities(pol, combo)
+        assign = {i: (1, a) if k == "g" else (2, i) if k == "n" else (3, TICK)
+                  for i, (k, a) in enumerate(combo)}
+        neutrals = [i for i in range(n) if combo[i][0] == "n"]
+        middle = Polarised(event_structure(neutrals),
+                           {i: NEUTRAL for i in neutrals})
+        for edges, _, free in _candidates(g, combo, pols):
+            for confl in _subsets(free):
+                src = Polarised(event_structure(range(n), edges, confl), pols)
+                try:
+                    found.append(bare_strategy(src, g, middle, success_game(),
+                                               assign))
+                except InvalidStructure:
+                    pass
+    return found
+
+
+def iso_labels(t):
+    """Each source event's assignment, with a middle event known by its kind
+    only, as renaming the source renames the middle with it."""
+    return {s: 2 if v[0] == 2 else v for s, v in t.sigma.mapping.items()}
+
+
+def isomorphic_tests(t1, t2):
+    return find_isomorphism(t1.source.es, t2.source.es,
+                            iso_labels(t1), iso_labels(t2)) is not None
+
+
+def by_labels(tests):
+    """The tests grouped by the multiset of their labels, which isomorphic
+    tests share, each group in order."""
+    groups = {}
+    for t in tests:
+        key = frozenset(Counter(iso_labels(t).values()).items())
+        groups.setdefault(key, []).append(t)
+    return groups
+
+
+def class_representatives(tests):
+    """The first test of each isomorphism class, in order."""
+    kept = set()
+    for group in by_labels(tests).values():
+        firsts = []
+        for t in group:
+            if not any(isomorphic_tests(t, k) for k in firsts):
+                firsts.append(t)
+        kept.update(map(id, firsts))
+    return [t for t in tests if id(t) in kept]
+
+
+def shape_of(t):
+    return t.source, t.sigma.mapping, t.N
+
+
+@given(seeds)
+@settings(max_examples=8, deadline=None)
+def test_enumeration_keeps_the_first_test_of_each_class(seed):
+    g = random_game(random.Random(seed), 3)
+    for max_events in (2, 3):
+        for bare in (False, True):
+            want = class_representatives(exhaustive_tests(g, max_events, bare))
+            got = enumerate_tests(g, max_events, bare=bare)
+            assert list(map(shape_of, got)) == list(map(shape_of, want))
+
+
+@given(seeds)
+@settings(max_examples=6, deadline=None)
+def test_verdicts_agree_across_each_class(seed):
+    rng = random.Random(seed)
+    g = random_game(rng, 2)
+    for bare, run in ((False, may_pass), (True, must_pass)):
+        subjects = [random_stopping(rng, random_in_game_strategy(rng, g))
+                    for _ in range(2)]
+        kept = by_labels(enumerate_tests(g, 3, bare=bare))
+        for key, group in by_labels(exhaustive_tests(g, 3, bare)).items():
+            for t in group:
+                (rep,) = [k for k in kept[key] if isomorphic_tests(t, k)]
+                for s in subjects:
+                    assert run(s, t).passed == run(s, rep).passed
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_skeletons_built_directly_are_those_event_structure_builds(seed):
+    g = random_game(random.Random(seed), 2)
+    pol = _flip(g)
+    for combo in _combos(g, 3, True):
+        n = len(combo)
+        pols = combo_polarities(pol, combo)
+        for edges, below, free in _candidates(g, combo, pols):
+            for confl in _subsets(free):
+                direct = _structure(n, below, inherited_conflicts(below, confl)[0])
+                built = event_structure(range(n), edges, confl)
+                assert direct.events == built.events
+                assert all(direct.below(e) == built.below(e) for e in range(n))
+                assert direct.maxcons == built.maxcons
+
+
+# ---- inherited event orders -----------------------------------------------------
+
+
+def assert_in_ekey_order(es):
+    assert es.ordered == sortedevents(es.events)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_inherited_event_orders_are_the_ekey_orders(seed):
+    rng = random.Random(seed)
+    a, b = random_game(rng, 3), random_game(rng, 3)
+    sigma = random_bare(rng, a, b)
+    tau = random_bare(rng, b, random_game(rng, 2))
+    assert_in_ekey_order(parallel(dual(a), sigma.N, b).es)
+    assert_in_ekey_order(copycat(a)[0].es)
+    inter = interact(sigma, tau)
+    for es in (inter.source.es, inter.N.es):
+        assert_in_ekey_order(es)
+        keep = [e for e in es.ordered if rng.random() < 0.6]
+        assert_in_ekey_order(es.restrict(keep))
+    assert_in_ekey_order(visible_part(inter)[0].source.es)

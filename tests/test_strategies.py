@@ -314,8 +314,10 @@ def test_validation_enumerates_the_source_once(monkeypatch):
         calls.append(self)
         return original(self, limits)
 
+    # the fixtures are cached: build them before counting starts
+    fixtures = (fx.shot_or_stall(), fx.relay_b2_to_c(), fx.lamp_choice())
     monkeypatch.setattr(EventStructure, "configurations", counted)
-    for made in (fx.shot_or_stall(), fx.relay_b2_to_c(), fx.lamp_choice()):
+    for made in fixtures:
         bs = BareStrategy(made.source, made.A, made.N, made.B,
                           made.sigma.mapping)
         assert validate_bare_strategy(bs) == []

@@ -98,6 +98,16 @@ def test_cause_cycle_does_not_depend_on_string_hashing():
     assert len(cycles) == 1
 
 
+def test_a_clash_names_its_conflict_as_declared():
+    for pair in (("a", "b"), ("b", "a")):
+        with pytest.raises(InvalidStructure) as exc:
+            event_structure(["a", "b", "c"], [("a", "c"), ("b", "c")], [pair])
+        (diag,) = exc.value.diagnostics
+        assert diag.data == {"event": "c", "pair": pair}
+        assert str(diag) == f"event 'c' is above conflicting events" \
+            f" {pair[0]!r} ~ {pair[1]!r}"
+
+
 def test_self_conflict_rejected():
     with pytest.raises(InvalidStructure) as exc:
         event_structure(["a"], conflicts=[("a", "a")])
@@ -155,6 +165,17 @@ def test_configuration_cap():
     es = event_structure(["a", "b", "c"])
     with pytest.raises(SizeBoundExceeded):
         es.configurations(EngineLimits(max_configs=4))
+
+
+def test_configuration_cap_counts_the_empty_configuration():
+    with pytest.raises(SizeBoundExceeded) as err:
+        event_structure([]).configurations(EngineLimits(max_configs=0))
+    assert err.value.data == {"cap": 0}
+    one = event_structure(["a"])
+    with pytest.raises(SizeBoundExceeded) as err:
+        one.configurations(EngineLimits(max_configs=1))
+    assert err.value.data == {"cap": 1}
+    assert one.configurations(EngineLimits(max_configs=2)) == [fs(), fs("a")]
 
 
 def test_restrict_keeps_reachable_order():
