@@ -188,7 +188,7 @@ def _cmd_configs(ws, args, limits):
         raise ParseError("configs expects a structure or strategy name")
     pg = d.obj if d.kind in ("es", "game") else d.obj.source
     names = _naming(pg.events)
-    for x in pg.configurations(limits):
+    for x in d.obj.configurations(limits):
         print(_fmt_config(x, names))
     return 0
 
@@ -210,7 +210,7 @@ def _cmd_relations(ws, args, limits):
 
 def _cmd_copycat(ws, args, limits):
     d = ws.get(args.game, ("game",))
-    cc = copycat_strategy(d.obj, limits=limits)
+    cc = copycat_strategy(d.obj)
     out = _Out(ws)
     out.strategy_def(cc, f"cc_{d.name}", kind="bare")
     return out.emit(args)

@@ -9,6 +9,8 @@ component typing with an empty middle, so target tags are uniformly
 (1, a) for the dual side, (2, n) for the middle and (3, b) for the B side.
 """
 
+from functools import cached_property
+
 from .errors import (
     BadArgument,
     GameMismatch,
@@ -34,7 +36,6 @@ from .games import (
     dual,
     is_plus_maximal,
     parallel,
-    plus_maximal_configs,
     plus_subset,
 )
 from .limits import DEFAULT_LIMITS
@@ -53,16 +54,26 @@ class BareStrategy:
         self.target = parallel(dual(game_a), middle, game_b,
                                name=f"target({name})" if name else "")
         self.sigma = ESMap(source.es, self.target.es, assign)
-        self._configs = {}  # limits -> configurations(limits)
-        self._stop_of = {}  # limits -> stop_of(self, limits)
-        self._by_image = {}  # limits -> configurations_by_image(limits)
-        self._may_runs = {}  # limits -> testing's table of ticking runs
+        self._configs = None  # configurations()
+        self._stop_of = None  # stop_of(self)
+        self._by_image = None  # configurations_by_image()
+        self._may_runs = None  # testing's table of ticking runs
         self._matched_game = None  # testing: the last game A was checked equal to
 
     @property
     def is_strategy(self):
         return (not self.N.events
                 and NEUTRAL not in self.source.pol.values())
+
+    @property
+    def visible(self):
+        """The visible part: the strategy itself when it is one. Only a copy
+        is kept, as a strategy holding itself waits for the cycle collector."""
+        return self if self.is_strategy else self._hidden
+
+    @cached_property
+    def _hidden(self):
+        return visible_part(self)[0]
 
     def assigned(self, s):
         return self.sigma.mapping[s]
@@ -77,20 +88,18 @@ class BareStrategy:
 
     def configurations(self, limits=DEFAULT_LIMITS):
         """Source configurations, smallest first, as a tuple; derived once
-        per limits."""
-        got = self._configs.get(limits)
-        if got is None:
-            got = self._configs[limits] = tuple(self.source.configurations(limits))
-        return got
+        per strategy, and again under a cap below their number, to raise."""
+        if self._configs is None or len(self._configs) > limits.max_configs:
+            self._configs = tuple(self.source.configurations(limits))
+        return self._configs
 
     def configurations_by_image(self, limits=DEFAULT_LIMITS):
         """Source configurations grouped by their image on B, each group
-        smallest first; derived once per limits."""
-        got = self._by_image.get(limits)
-        if got is None:
-            got = _group_by_image(self, self.configurations(limits))
-            self._by_image[limits] = got
-        return got
+        smallest first; derived once per strategy."""
+        configs = self.configurations(limits)
+        if self._by_image is None:
+            self._by_image = _group_by_image(self, configs)
+        return self._by_image
 
     def __repr__(self):
         nm = self.name or "bare"
@@ -287,36 +296,36 @@ def stop_of(bs, limits=DEFAULT_LIMITS):
 
     A configuration counts as maximal when it has no Player or neutral
     extension. For a source without neutral events this is exactly the set of
-    its maximal configurations in that sense. The result is derived once per
-    bare strategy and limits, and shared by later calls.
+    its maximal configurations in that sense, and the strategy is bs itself.
+    The result is derived once per bare strategy, and shared by later calls.
     """
-    st = bs._stop_of.get(limits)
-    if st is None:
-        vis, _, down = visible_part(bs)
-        stopping = {down(x) for x in bs.configurations(limits)
+    configs = bs.configurations(limits)
+    if bs._stop_of is None:
+        vis = bs.visible
+        stopping = {x & vis.source.events for x in configs
                     if is_plus_maximal(bs.source, x)}
-        st = StoppingStrategy(vis, stopping,
-                              name=f"st({bs.name})" if bs.name else "")
-        bs._stop_of[limits] = st
-    return st
+        bs._stop_of = StoppingStrategy(vis, stopping,
+                                       name=f"st({bs.name})" if bs.name else "")
+    return bs._stop_of
 
 
 def saturate_stopping(st, limits=DEFAULT_LIMITS):
     """The stopping data a neutral-free strategy induces on its own."""
     if not st.is_strategy:
         raise BadArgument("saturate_stopping expects a neutral-free strategy")
-    return StoppingStrategy(st, set(plus_maximal_configs(st.source, limits)),
+    return StoppingStrategy(st, {x for x in st.configurations(limits)
+                                 if is_plus_maximal(st.source, x)},
                             name=f"sat({st.name})" if st.name else "")
 
 
-def copycat_strategy(A, name="", limits=DEFAULT_LIMITS):
-    """Copycat as a strategy from A to A."""
+def copycat_strategy(A, name=""):
+    """Copycat as a strategy from A to A; valid by construction, so unchecked."""
     cc, _ = copycat(A)
     assign = {}
     for (i, a) in cc.events:
         assign[(i, a)] = (1, a) if i == 1 else (3, a)
-    return strategy(cc, A, A, assign, name=name or (A.name and f"cc({A.name})"),
-                    limits=limits)
+    return BareStrategy(cc, A, EMPTY, A, assign,
+                        name=name or (A.name and f"cc({A.name})"))
 
 
 # ---- 2-cells -------------------------------------------------------------------

@@ -16,8 +16,7 @@ from .games import (MINUS, NEUTRAL, PLUS, Polarised, component, dual, game,
                     payload)
 from .interaction import glue
 from .limits import DEFAULT_LIMITS
-from .strategies import (StoppingStrategy, bare_strategy, stop_of, strategy,
-                         visible_part)
+from .strategies import StoppingStrategy, bare_strategy, stop_of, strategy
 from .structures import (EventStructure, ekey, event_structure,
                          inherited_conflicts, maximal_consistent_sets,
                          reflexive_closures, sortedevents)
@@ -101,8 +100,7 @@ def _trace_index(sigma, configs, limits):
 def finite_traces(sigma, limits=DEFAULT_LIMITS):
     """Traces of every finite configuration; prefix-closed by construction."""
     sigma = _visible(sigma)
-    return frozenset(_trace_index(sigma, sigma.source.configurations(limits),
-                                  limits))
+    return frozenset(_trace_index(sigma, sigma.configurations(limits), limits))
 
 
 def stopping_traces(s, limits=DEFAULT_LIMITS):
@@ -111,11 +109,7 @@ def stopping_traces(s, limits=DEFAULT_LIMITS):
 
 
 def _visible(s):
-    if isinstance(s, StoppingStrategy):
-        return s.strat
-    if s.is_strategy:
-        return s
-    return visible_part(s)[0]
+    return s.strat if isinstance(s, StoppingStrategy) else s.visible
 
 
 # ---- running tests -----------------------------------------------------------------
@@ -128,14 +122,14 @@ def _as_stopping(subject, limits):
 
 
 def _check_test_shape(subject, test):
-    if subject.strat.A.events:
+    if subject.A.events:
         raise GameMismatch("test subjects play in a single game",
-                           left=subject.strat.A)
+                           left=subject.A)
     if test.B != success_game():
         raise GameMismatch("a test must target the success game", right=test.B)
     # a shared test meets many subjects over equal but distinct games: each
     # game object is compared once, as long as it is the last one met
-    game = subject.strat.B
+    game = subject.B
     if test._matched_game is not game:
         if test.A != game:
             raise GameMismatch("subject and test play different games",
@@ -155,14 +149,12 @@ def _runs(t, configs, ticking):
 
 
 def _may_runs(test, limits):
-    """The test's visible part and its ticking runs; kept on the test per
-    limits."""
-    got = test._may_runs.get(limits)
-    if got is None:
-        tvis = _visible(test)
-        got = (tvis, _runs(tvis, tvis.configurations(limits), True))
-        test._may_runs[limits] = got
-    return got
+    """The test's visible part and its ticking runs, kept on the test."""
+    tvis = test.visible
+    configs = tvis.configurations(limits)
+    if test._may_runs is None:
+        test._may_runs = _runs(tvis, configs, True)
+    return tvis, test._may_runs
 
 
 def _must_runs(tstop):
@@ -189,11 +181,10 @@ def may_pass(subject, test, limits=DEFAULT_LIMITS):
     The test's ticking configurations are tried in configuration order, so
     the witness is the least such pairing.
     """
-    sub = _as_stopping(subject, limits)
+    sub = _visible(subject)
     _check_test_shape(sub, test)
     tvis, runs = _may_runs(test, limits)
-    wit = _first_glued(sub.strat, tvis, runs,
-                       sub.strat.configurations_by_image(limits))
+    wit = _first_glued(sub, tvis, runs, sub.configurations_by_image(limits))
     return Verdict(wit is not None, wit)
 
 
@@ -205,7 +196,7 @@ def must_pass(subject, test, limits=DEFAULT_LIMITS):
     lacks the success move is the returned counterexample.
     """
     sub = _as_stopping(subject, limits)
-    _check_test_shape(sub, test)
+    _check_test_shape(sub.strat, test)
     tstop = stop_of(test, limits)
     wit = _first_glued(sub.strat, tstop.strat, _must_runs(tstop),
                        sub.stopping_by_image())
@@ -233,7 +224,7 @@ def may_preorder(sigma1, sigma2, limits=DEFAULT_LIMITS):
     """Trace inclusion; holds iff sigma2 may-passes every test sigma1 does."""
     v1, v2 = _visible(sigma1), _visible(sigma2)
     _require_same_game(v1, v2)
-    index = _trace_index(v1, v1.source.configurations(limits), limits)
+    index = _trace_index(v1, v1.configurations(limits), limits)
     gap = _least_gap(index, finite_traces(v2, limits))
     return gap is None, gap
 
@@ -358,7 +349,7 @@ def synthesize_may_test(sigma2, gap, limits=DEFAULT_LIMITS):
     """
     v2 = _visible(sigma2)
     g, t1, t1p, causes, conflicts, pols = _replay(
-        v2, gap, lambda: v2.source.configurations(limits),
+        v2, gap, lambda: v2.configurations(limits),
         "the trace is one of sigma2's own", limits)
     tick = TICK if TICK not in t1p else ("k", TICK)
     causes += [(t, tick) for t in t1 if g.pol[t] == PLUS]

@@ -4,6 +4,7 @@ Hypothesis drives the seeds; the generators in randgen turn a seed into
 games and strategies deterministically, so every failure replays.
 """
 
+import inspect
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -62,6 +63,7 @@ from esgames.strategies import (
     BareStrategy,
     StoppingStrategy,
     bare_strategy,
+    copycat_strategy,
     saturate_stopping,
     stop_of,
     validate_bare_strategy,
@@ -151,6 +153,34 @@ def test_copycat_deterministic_exactly_on_race_free_games(seed):
     g = random_game(random.Random(seed), 4, race_free=False)
     cc, _ = copycat(g)
     assert is_deterministic(cc)[0] == is_race_free(g)[0]
+
+
+def _fixture_games():
+    """Every game a fixture builder without arguments builds or plays in."""
+    found = []
+    for name, fn in vars(fx).items():
+        if (getattr(fn, "__module__", None) != fx.__name__
+                or any(p.default is p.empty
+                       for p in inspect.signature(fn).parameters.values())):
+            continue
+        made = fn()
+        made = getattr(made, "strat", made)
+        for g in ((made.A, made.B) if isinstance(made, BareStrategy)
+                  else (made,)):
+            if NEUTRAL not in g.pol.values() and g not in found:
+                found.append(g)
+    return found
+
+
+def test_copycat_is_a_strategy_by_construction():
+    # copycat_strategy builds without validating: validate here instead, on
+    # racy games too
+    games = [random_game(random.Random(seed), race_free=False)
+             for seed in range(300)]
+    games += _fixture_games() + [fx.chain_game(3)]
+    assert sum(not is_race_free(g)[0] for g in games) > 0
+    for g in games:
+        assert validate_bare_strategy(copycat_strategy(g)) == [], g
 
 
 @given(seeds)

@@ -34,12 +34,21 @@ from esgames.strategies import (
     in_game_strategy,
     saturate_stopping,
     stop_of,
+    strategy,
     two_cell_visible,
     validate_bare_strategy,
     validate_two_cell,
     visible_part,
 )
 from esgames.structures import EventStructure, event_structure
+from esgames.testing import (
+    TICK,
+    finite_traces,
+    may_pass,
+    may_preorder,
+    success_game,
+    synthesize_may_test,
+)
 
 
 def fs(*xs):
@@ -341,3 +350,73 @@ def test_plus_reflection_enumerates_each_side_once(monkeypatch):
     assert any(isinstance(d, NotPlusReflecting) for d in diags)
     for side in (small, big):
         assert len([es for es in calls if es is side.source.es]) <= 1
+
+
+def _fresh(made):
+    """A copy of a cached fixture, with nothing derived on it yet."""
+    return BareStrategy(made.source, made.A, made.N, made.B, made.sigma.mapping)
+
+
+def test_stop_of_takes_the_visible_part_which_is_a_strategy_itself():
+    s = _fresh(fx.press_either())
+    assert s.visible is s
+    assert stop_of(s).strat is s
+    b = _fresh(fx.shot_or_stall())
+    assert b.visible is not b and b.visible.is_strategy
+    assert stop_of(b).strat is b.visible
+
+
+def test_a_smaller_cap_on_a_later_read_raises_and_the_count_reads_the_kept():
+    # either of two conflicting Opponent moves: three configurations, one
+    # trace each, met by a test that succeeds at once, with two of its own
+    g = game(event_structure(["m1", "m2"], conflicts=[("m1", "m2")]),
+             {"m1": MINUS, "m2": MINUS})
+    subject = in_game_strategy(
+        Polarised(event_structure(["r1", "r2"], conflicts=[("r1", "r2")]),
+                  {"r1": MINUS, "r2": MINUS}), g, {"r1": "m1", "r2": "m2"})
+    test = strategy(Polarised(event_structure([TICK]), {TICK: PLUS}), g,
+                    success_game(), {TICK: (3, TICK)})
+    configs = subject.configurations()
+    n = len(configs)
+    by_image, st = subject.configurations_by_image(), stop_of(subject)
+    traces, verdict = finite_traces(subject), may_pass(subject, test)
+    assert n == len(traces) == 3 and verdict
+    for read in (subject.configurations, subject.configurations_by_image,
+                 lambda limits: stop_of(subject, limits),
+                 lambda limits: finite_traces(subject, limits),
+                 lambda limits: may_pass(subject, test, limits)):
+        with pytest.raises(SizeBoundExceeded) as e:
+            read(EngineLimits(max_configs=n - 1))
+        assert e.value.data == {"cap": n - 1}
+    at = EngineLimits(max_configs=n)
+    assert subject.configurations(at) is configs
+    assert subject.configurations_by_image(at) is by_image
+    assert stop_of(subject, at) is st
+    assert finite_traces(subject, at) == traces
+    assert may_pass(subject, test, at) == verdict
+
+
+def test_strategy_level_reads_do_not_enumerate_the_source_again(monkeypatch):
+    calls = []
+    original = EventStructure.configurations
+
+    def counted(self, limits=DEFAULT_LIMITS):
+        calls.append(self)
+        return original(self, limits)
+
+    # the fixtures are cached: build them before counting starts
+    wider, probe = fx.press_either(), fx.tick2_probe()
+    monkeypatch.setattr(EventStructure, "configurations", counted)
+    subject = in_game_strategy(Polarised(event_structure(["s"]), {"s": PLUS}),
+                               fx.buttons(), {"s": "b2"})
+    assert [es for es in calls if es is subject.source.es] == [subject.source.es]
+    calls.clear()
+    stop_of(subject)
+    subject.configurations_by_image()
+    finite_traces(subject)
+    holds, gap = may_preorder(wider, subject)
+    assert not holds
+    synthesize_may_test(subject, gap)
+    saturate_stopping(subject)
+    may_pass(subject, probe)
+    assert [es for es in calls if es is subject.source.es] == []
