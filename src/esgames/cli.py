@@ -18,7 +18,7 @@ from .limits import DEFAULT_LIMITS
 from .rigid import rigid_image, rigid_image_stopping
 from .strategies import (BareStrategy, StoppingStrategy, copycat_strategy,
                          saturate_stopping, stop_of)
-from .structures import event_structure, sortedevents
+from .structures import EventStructure, sortedevents
 from .testing import (find_gap, may_pass, may_preorder, must_pass,
                       must_preorder, synthesize_may_test, synthesize_must_test)
 
@@ -81,12 +81,12 @@ def _relabel(st):
 
 
 def _renamed(pg, ren):
-    """pg with each event e renamed to ren[e]."""
-    evs = sortedevents(pg.events)
-    es = event_structure(
-        [ren[e] for e in evs],
-        [(ren[a], ren[b]) for b in evs for a in pg.es.strict_below(b)],
-        consistent=[frozenset(ren[e] for e in m) for m in pg.es.maxcons])
+    """pg with each event e renamed to ren[e], ren being one-to-one."""
+    evs = pg.es.ordered
+    es = EventStructure(
+        sortedevents(ren[e] for e in evs),
+        {ren[e]: frozenset(map(ren.__getitem__, pg.es.below(e))) for e in evs},
+        [frozenset(map(ren.__getitem__, m)) for m in pg.es.maxcons])
     return Polarised(es, {ren[e]: pg.pol[e] for e in evs})
 
 

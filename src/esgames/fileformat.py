@@ -22,7 +22,8 @@ from .errors import EsgError, InvalidStructure, ParseError
 from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, bare_strategy
-from .structures import ESMap, ekey, event_structure, sortedevents, validate_map
+from .structures import (ESMap, ekey, event_structure, maximal_consistent_sets,
+                         sortedevents, validate_map)
 from .testing import TICK, success_game
 
 _ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -434,20 +435,13 @@ def _naming(events, base=_ident):
 
 
 def _binary_family(es):
-    """Conflict pairs that regenerate the consistency family exactly, else
-    None. Minimal pairs are preferred; hereditary closure recovers the rest."""
-    all_pairs = es.inconsistent_pairs()
-    if not all_pairs:
-        return [] if len(es.maxcons) == 1 else None
-    causes = [(c, e) for e in es.ordered for c in es.strict_below(e)]
-    for pairs in (es.minimal_conflicts(), all_pairs):
-        try:
-            redone = event_structure(es.ordered, causes, pairs)
-        except InvalidStructure:
-            continue
-        if set(redone.maxcons) == set(es.maxcons):
-            return pairs
-    return None
+    """The minimal conflict pairs when binary conflict regenerates the
+    consistency family exactly, else None; hereditary closure of the minimal
+    pairs recovers every inconsistent pair."""
+    pairs = {frozenset(p) for p in es.inconsistent_pairs()}
+    if set(maximal_consistent_sets(es.ordered, pairs)) != set(es.maxcons):
+        return None
+    return es.minimal_conflicts()
 
 
 def _print_body(out, pg, names, indent="  "):

@@ -5,7 +5,7 @@ from itertools import product
 from .errors import BadArgument, PolarityMismatch
 from .limits import DEFAULT_LIMITS
 from .structures import (EventStructure, ESMap, event_structure,
-                         reflexive_closures, sortedevents)
+                         maximal_sets, reflexive_closures, sortedevents)
 
 PLUS = "+"
 MINUS = "-"
@@ -126,14 +126,11 @@ def parallel(*parts, name=""):
         for e in p.es.ordered:
             below[(i, e)] = frozenset((i, d) for d in p.es.below(e))
             pol[(i, e)] = p.pol[e]
-    maxcons = []
-    for combo in product(*(p.es.maxcons for p in parts)):
-        m = set()
-        for i, mi in enumerate(combo, start=1):
-            m |= {(i, e) for e in mi}
-        maxcons.append(frozenset(m))
+    tagged = [[frozenset((i, e) for e in m) for m in p.es.maxcons]
+              for i, p in enumerate(parts, start=1)]
+    maxcons = [frozenset().union(*combo) for combo in product(*tagged)]
     # (i, e) sorts by i, then as e does: the components' orders, in turn
-    es = EventStructure._in_order(below.keys(), below, maxcons, name=name)
+    es = EventStructure(below.keys(), below, maxcons, name=name)
     return Polarised(es, pol, name=name)
 
 
@@ -215,7 +212,8 @@ def copycat(A, name=""):
     juxtaposition, the edge from its counterpart in the other component.
     A finite set is consistent iff its causal closure here is consistent in
     the juxtaposition; maximal consistent sets are computed per pair of
-    component maximal sets.
+    component maximal sets, and pruned, as these can nest: with Player moves
+    p ~ q, the pair ({p}, {q}) keeps only (1, p), inside {(1, p), (2, p)}.
     """
     A.require_game("copycat")
     target = parallel(dual(A), A, name=f"dual+{A.name}" if A.name else "")
@@ -237,8 +235,8 @@ def copycat(A, name=""):
             u0 = {(1, a) for a in m1} | {(2, a) for a in m2}
             maxcons.add(frozenset(e for e in u0 if below[e] <= u0))
 
-    cc_es = EventStructure._in_order(target.es.ordered, below, maxcons,
-                                     name=name or (A.name and f"cc({A.name})"))
+    cc_es = EventStructure(target.es.ordered, below, maximal_sets(maxcons),
+                           name=name or (A.name and f"cc({A.name})"))
     cc = Polarised(cc_es, dict(target.pol), name=cc_es.name)
     ccmap = ESMap(cc_es, target.es, {e: e for e in cc_es.events})
     return cc, ccmap

@@ -258,8 +258,10 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
     for p in events:
         below[p] = frozenset(q for q in events
                              if prime_pairs(q) <= prime_pairs(p))
+    # no maximal secured bijection lies inside another: the lowest pair of
+    # their difference would extend the smaller one
     maxcons = [_primes(prime_map[th]) for th in maximal]
-    return EventStructure._in_order(events, below, maxcons), prime_map
+    return EventStructure(events, below, maxcons), prime_map
 
 
 def pullback(f, g, limits=DEFAULT_LIMITS):

@@ -363,7 +363,9 @@ def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
         diags.append(MapNotTotal(f"2-cell missing {undefined}", events=undefined))
         return diags
 
-    rep = validate_map(f, limits)
+    # a dict is a map from bsrc's own source, whose configurations it keeps
+    configs = bsrc.configurations(limits) if f.src is bsrc.source.es else None
+    rep = validate_map(f, limits, configs=configs)
     diags.extend(rep.diagnostics)
     for s in sortedevents(bsrc.source.events):
         if bsrc.source.pol[s] != bdst.source.pol[f.mapping[s]]:

@@ -3,6 +3,14 @@
 An event structure is a finite set of events, a causal partial order kept as
 per-event down-closures, and a consistency family kept as the antichain of
 maximal consistent sets. Configurations are the consistent down-closed subsets.
+
+Outside input is diagnosed by diagnose_structure (event_structure raises on
+its diagnostics). The engine's own builders call EventStructure directly with
+the events in ekey order and a family that is already an antichain: maximal
+cliques for binary conflicts, products of antichains in games.parallel, and
+maximal secured bijections in the pullback. Only the families that can nest
+go through maximal_sets: declared consistent blocks, restrict and
+games.copycat.
 """
 
 from collections import Counter
@@ -50,55 +58,27 @@ def cfgkey(x):
 
 
 class EventStructure:
-    """Immutable by convention; built via event_structure().
+    """Immutable by convention; outside input is built via event_structure().
 
-    The events in ekey order and each event's position in it (rank) are
-    derived once, on first use; every ordered result is sorted by rank,
-    which orders events as ekey does.
+    The constructor trusts its builder: ordered lists the events in ekey
+    order, below maps each event to its reflexive down-closure, and maxcons
+    is the family of maximal consistent sets, an antichain of frozensets
+    without repeats. Builders whose families can nest pass them through
+    maximal_sets first. ordered and rank (event -> position in ordered) are
+    kept as given; every ordered result is sorted by rank, which orders
+    events as ekey does, and maxcons is sorted by config_key.
     """
 
-    def __init__(self, events, below, maxcons, name=""):
-        self._build(frozenset(events), None, below, maxcons, name)
-
-    @classmethod
-    def _in_order(cls, ordered, below, maxcons, name=""):
-        """The structure over the events of ordered, which its builder
-        already knows to be in ekey order: they are taken as its order, and
-        nothing is sorted by ekey."""
-        es = cls.__new__(cls)
-        ordered = tuple(ordered)
-        es._build(frozenset(ordered), ordered, below, maxcons, name)
-        return es
-
-    def _build(self, events, ordered, below, maxcons, name):
+    def __init__(self, ordered, below, maxcons, name=""):
         self.name = name
-        self.events = events
-        self._below = {e: frozenset(below[e]) for e in events}
-        self._ordered = ordered
-        self._rank = None
+        self.ordered = tuple(ordered)
+        self.rank = {e: i for i, e in enumerate(self.ordered)}
+        self.events = frozenset(self.ordered)
+        self._below = {e: frozenset(below[e]) for e in self.ordered}
         self._above = None
         self._immediate = None
         self._hash = None
-        maxcons = _antichain(maxcons)
-        if len(maxcons) > 1:
-            maxcons.sort(key=self.config_key)
-        self.maxcons = tuple(maxcons)
-
-    # ---- event order ---------------------------------------------------------
-
-    @property
-    def ordered(self):
-        """The events in ekey order, as a tuple."""
-        if self._ordered is None:
-            self._ordered = sortedevents(self.events)
-        return self._ordered
-
-    @property
-    def rank(self):
-        """event -> its position in ordered."""
-        if self._rank is None:
-            self._rank = {e: i for i, e in enumerate(self.ordered)}
-        return self._rank
+        self.maxcons = tuple(sorted(maxcons, key=self.config_key))
 
     def config_key(self, x):
         """Sort key for a set of events that orders as cfgkey does."""
@@ -227,12 +207,9 @@ class EventStructure:
             raise UnknownEvent(f"unknown events {sortedevents(unknown)}",
                                events=unknown)
         below = {e: self._below[e] & keep for e in keep}
-        maxcons = [m & keep for m in self.maxcons]
-        if self._ordered is None:
-            return EventStructure(keep, below, maxcons, name=self.name)
-        return EventStructure._in_order(
-            [e for e in self._ordered if e in keep], below, maxcons,
-            name=self.name)
+        return EventStructure([e for e in self.ordered if e in keep], below,
+                              maximal_sets(m & keep for m in self.maxcons),
+                              name=self.name)
 
     # ---- identity -------------------------------------------------------------
 
@@ -256,16 +233,14 @@ class EventStructure:
         return f"<{nm}: {len(self.events)} events, {len(self.maxcons)} maxcons>"
 
 
-def _antichain(sets):
-    """Drop members included in another member; dedupe."""
-    sets = sorted({frozenset(s) for s in sets}, key=len, reverse=True)
+def maximal_sets(sets):
+    """The members of sets included in no other member, each once; the empty
+    family gives the family of the empty set."""
     out = []
-    for s in sets:
+    for s in sorted(set(sets), key=len, reverse=True):
         if not any(s < t for t in out):
             out.append(s)
-    if not out:
-        out = [frozenset()]
-    return out
+    return out or [frozenset()]
 
 
 # ---- construction and validation --------------------------------------------
@@ -320,7 +295,7 @@ def diagnose_structure(events, causes=(), conflicts=(), consistent=None):
                 diags.append(ConsistencyNotDownClosed(
                     f"closure of {sortedevents(m)} is not consistent",
                     member=m, closure=frozenset(closure)))
-        maxcons = declared
+        maxcons = maximal_sets(declared)
     else:
         pairs = {}  # each pair once, as first declared
         for a, b in conflicts:
@@ -341,7 +316,7 @@ def diagnose_structure(events, causes=(), conflicts=(), consistent=None):
 
     if diags:
         return diags, None
-    return diags, EventStructure(events, below, maxcons)
+    return diags, EventStructure(sortedevents(events), below, maxcons)
 
 
 def inherited_conflicts(below, conflicts):

@@ -186,6 +186,19 @@ def test_copycat_two_buttons_has_no_cross_component_edges():
         ((1, "b1"), (2, "b1")), ((1, "b2"), (2, "b2")))
 
 
+def test_copycat_prunes_the_nested_sets_of_a_player_conflict():
+    # with p ~ q, the component pair ({p}, {q}) closes to {(1, p)}, which
+    # lies inside {(1, p), (2, p)}: only the two sets inside no other stay
+    a = game(event_structure(["p", "q"], conflicts=[("p", "q")]),
+             {"p": PLUS, "q": PLUS})
+    cc, _ = copycat(a)
+    assert cc.es.maxcons == (fs((1, "p"), (2, "p")), fs((1, "q"), (2, "q")))
+    assert cc.es == event_structure(
+        [(1, "p"), (1, "q"), (2, "p"), (2, "q")],
+        causes=[((1, "p"), (2, "p")), ((1, "q"), (2, "q"))],
+        conflicts=[((1, "p"), (1, "q"))])
+
+
 def test_copycat_empty():
     cc, ccmap = copycat(EMPTY)
     assert cc.events == fs()

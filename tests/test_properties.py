@@ -77,6 +77,7 @@ from esgames.structures import (
     event_structure,
     find_isomorphism,
     inherited_conflicts,
+    maximal_sets,
     sortedevents,
 )
 from esgames.testing import (
@@ -744,8 +745,12 @@ def test_skeletons_built_directly_are_those_event_structure_builds(seed):
 # ---- inherited event orders -----------------------------------------------------
 
 
-def assert_in_ekey_order(es):
+def assert_as_built(es):
+    """The constructor's contract: events in ekey order, and maximal
+    consistent sets that are an antichain without repeats."""
     assert es.ordered == sortedevents(es.events)
+    assert len(set(es.maxcons)) == len(es.maxcons)
+    assert set(es.maxcons) == set(maximal_sets(es.maxcons))
 
 
 @given(seeds)
@@ -755,11 +760,15 @@ def test_inherited_event_orders_are_the_ekey_orders(seed):
     a, b = random_game(rng, 3), random_game(rng, 3)
     sigma = random_bare(rng, a, b)
     tau = random_bare(rng, b, random_game(rng, 2))
-    assert_in_ekey_order(parallel(dual(a), sigma.N, b).es)
-    assert_in_ekey_order(copycat(a)[0].es)
+    for built in (a, b, sigma.source, tau.source):  # binary event_structure
+        assert_as_built(built.es)
+    assert_as_built(parallel(dual(a), sigma.N, b).es)
+    assert_as_built(copycat(a)[0].es)
     inter = interact(sigma, tau)
     for es in (inter.source.es, inter.N.es):
-        assert_in_ekey_order(es)
+        assert_as_built(es)
         keep = [e for e in es.ordered if rng.random() < 0.6]
-        assert_in_ekey_order(es.restrict(keep))
-    assert_in_ekey_order(visible_part(inter)[0].source.es)
+        assert_as_built(es.restrict(keep))
+    assert_as_built(visible_part(inter)[0].source.es)
+    for t in enumerate_tests(a, 3, bare=True):  # kept test skeletons
+        assert_as_built(t.source.es)

@@ -352,6 +352,24 @@ def test_plus_reflection_enumerates_each_side_once(monkeypatch):
         assert len([es for es in calls if es is side.source.es]) <= 1
 
 
+def test_two_cells_read_the_kept_source_configurations(monkeypatch):
+    calls = []
+    original = EventStructure.configurations
+
+    def counted(self, limits=DEFAULT_LIMITS):
+        calls.append(self)
+        return original(self, limits)
+
+    # the fixtures are cached: build them, and their kept configurations,
+    # before counting starts
+    small, big = fx.press_b2(), fx.press_either()
+    small.configurations(), big.configurations()
+    monkeypatch.setattr(EventStructure, "configurations", counted)
+    for kind in ("plain", "plus_reflecting", "rigid_epi"):
+        validate_two_cell({"s": "s2"}, small, big, kind)
+        assert [es for es in calls if es is small.source.es] == [], kind
+
+
 def _fresh(made):
     """A copy of a cached fixture, with nothing derived on it yet."""
     return BareStrategy(made.source, made.A, made.N, made.B, made.sigma.mapping)
