@@ -17,7 +17,7 @@ from .interaction import compose, compose_stopping, interact, interact_stopping
 from .limits import DEFAULT_LIMITS
 from .rigid import rigid_image, rigid_image_stopping
 from .strategies import (BareStrategy, StoppingStrategy, copycat_strategy,
-                         saturate_stopping, stop_of)
+                         saturate_stopping, stop_of, strategy_of)
 from .structures import EventStructure, sortedevents
 from .testing import (find_gap, may_pass, may_preorder, must_pass,
                       must_preorder, synthesize_may_test, synthesize_must_test)
@@ -53,10 +53,6 @@ def _fmt_trace(tr):
         prefix = {1: "a.", 2: "n.", 3: ""}[comp]
         out.append(f"{prefix}{e}")
     return " ".join(out) if out else "(empty)"
-
-
-def _strat(defn):
-    return defn.obj.strat if defn.kind == "stopping" else defn.obj
 
 
 def _relabel(st):
@@ -284,7 +280,7 @@ def _run_verdict(ws, args, limits, runner, fail_word):
 
 def _print_witness(label, pair, sub, test):
     x, y = pair
-    snames = _naming(_strat(sub).source.events)
+    snames = _naming(strategy_of(sub.obj).source.events)
     tnames = _naming(test.obj.source.events)
     print(f"{label}: subject {_fmt_config(x, snames)}"
           f" test {_fmt_config(y, tnames)}")
@@ -299,7 +295,7 @@ def _run_preorder(ws, args, limits, checker):
         return 0
     print("false")
     x, alpha = gap
-    names = _naming(_strat(a).source.events)
+    names = _naming(strategy_of(a.obj).source.events)
     print(f"gap trace: {_fmt_trace(alpha)}")
     print(f"realised by {_fmt_config(x, names)}")
     return 1
@@ -388,10 +384,8 @@ def _build_parser():
                            stopping=compose_stopping, kind=None),
         "composition with hiding (tau after sigma)", ["tau", "sigma"],
         out=True)
-    cmd("interact", partial(
-            _run_pairing, word="with", plain=interact, kind="bare",
-            stopping=lambda s, t, limits: StoppingStrategy(
-                *interact_stopping(s, t, limits))),
+    cmd("interact", partial(_run_pairing, word="with", plain=interact,
+                            stopping=interact_stopping, kind="bare"),
         "interaction, internal events kept", ["tau", "sigma"], out=True)
     cmd("st", _cmd_st, "visible part with induced stopping set",
         ["name"], out=True)

@@ -18,10 +18,10 @@ assignment targets, one neutral event each.
 
 import re
 
-from .errors import EsgError, InvalidStructure, ParseError
+from .errors import EsgError, ParseError
 from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
 from .limits import DEFAULT_LIMITS
-from .strategies import StoppingStrategy, bare_strategy
+from .strategies import StoppingStrategy, bare_strategy, strategy_of
 from .structures import (ESMap, ekey, event_structure, maximal_consistent_sets,
                          sortedevents, validate_map)
 from .testing import TICK, success_game
@@ -247,7 +247,7 @@ def _build_es(name, items, line, col):
 def _wrap(defname, line, col, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (InvalidStructure, EsgError, AssertionError) as err:
+    except EsgError as err:
         raise ParseError(f"invalid {defname!r}: {err}", line, col) from err
 
 
@@ -572,7 +572,7 @@ def export_dot(defn):
         pg = defn.obj
         label = {e: None for e in pg.es.events}
     elif defn.kind in ("strategy", "bare", "test", "stopping"):
-        st = defn.obj.strat if defn.kind == "stopping" else defn.obj
+        st = strategy_of(defn.obj)
         kind = defn.kind if defn.kind != "stopping" else shape_kind(st)
         pg = st.source
         label = {e: _target(kind, comp, _ident(v))

@@ -7,8 +7,8 @@ first use.
 from functools import cache
 
 from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
-from .strategies import (StoppingStrategy, bare_strategy, in_game_bare,
-                         in_game_strategy, strategy)
+from .strategies import (StoppingStrategy, bare_strategy, in_game_strategy,
+                         strategy)
 from .structures import event_structure
 from .testing import TICK, success_game
 
@@ -131,8 +131,8 @@ def idle(g, name="idle"):
 def shot_now():
     """Plays p outright; the middle event stays unused."""
     src = Polarised(event_structure(["s"]), {"s": PLUS})
-    return in_game_bare(src, neutral_step(), one_shot(), {"s": ("b", "p")},
-                        name="shot-now")
+    return bare_strategy(src, EMPTY, neutral_step(), one_shot(),
+                         {"s": (3, "p")}, name="shot-now")
 
 
 @cache
@@ -140,9 +140,9 @@ def shot_after_step():
     """One internal step, then p."""
     src = Polarised(event_structure(["n", "s"], causes=[("n", "s")]),
                     {"n": NEUTRAL, "s": PLUS})
-    return in_game_bare(src, neutral_step(), one_shot(),
-                        {"n": ("n", "u"), "s": ("b", "p")},
-                        name="shot-after-step")
+    return bare_strategy(src, EMPTY, neutral_step(), one_shot(),
+                         {"n": (2, "u"), "s": (3, "p")},
+                         name="shot-after-step")
 
 
 @cache
@@ -151,9 +151,9 @@ def shot_or_stall():
     src = Polarised(event_structure(["m", "n", "s"], causes=[("n", "s")],
                                     conflicts=[("m", "n")]),
                     {"m": NEUTRAL, "n": NEUTRAL, "s": PLUS})
-    return in_game_bare(src, neutral_step(), one_shot(),
-                        {"m": ("n", "u"), "n": ("n", "u"), "s": ("b", "p")},
-                        name="shot-or-stall")
+    return bare_strategy(src, EMPTY, neutral_step(), one_shot(),
+                         {"m": (2, "u"), "n": (2, "u"), "s": (3, "p")},
+                         name="shot-or-stall")
 
 
 # ---- the ladder pair and its probe --------------------------------------------------
@@ -169,10 +169,10 @@ def ladder_one_stall():
                         conflicts=[("v1", "c")]),
         {"a": PLUS, "b": MINUS, "c": PLUS, "d": MINUS, "e": PLUS,
          "v1": NEUTRAL})
-    assign = {e: ("b", e) for e in "abcde"}
-    assign["v1"] = ("n", "u")
-    return in_game_bare(src, neutral_step(), ladder5(), assign,
-                        name="ladder-one-stall")
+    assign = {e: (3, e) for e in "abcde"}
+    assign["v1"] = (2, "u")
+    return bare_strategy(src, EMPTY, neutral_step(), ladder5(), assign,
+                         name="ladder-one-stall")
 
 
 @cache
@@ -185,11 +185,11 @@ def ladder_two_stalls():
                         conflicts=[("v1", "c"), ("v2", "e")]),
         {"a": PLUS, "b": MINUS, "c": PLUS, "d": MINUS, "e": PLUS,
          "v1": NEUTRAL, "v2": NEUTRAL})
-    assign = {e: ("b", e) for e in "abcde"}
-    assign["v1"] = ("n", "u1")
-    assign["v2"] = ("n", "u2")
-    return in_game_bare(src, neutral_steps2(), ladder5(), assign,
-                        name="ladder-two-stalls")
+    assign = {e: (3, e) for e in "abcde"}
+    assign["v1"] = (2, "u1")
+    assign["v2"] = (2, "u2")
+    return bare_strategy(src, EMPTY, neutral_steps2(), ladder5(), assign,
+                         name="ladder-two-stalls")
 
 
 # ---- the weak-bisimilar lamp trio ---------------------------------------------------
@@ -200,8 +200,8 @@ def lamp_choice():
     """Directly light one of the two lamps."""
     src = Polarised(event_structure(["a", "b"], conflicts=[("a", "b")]),
                     {"a": PLUS, "b": PLUS})
-    return in_game_bare(src, neutral_step(), two_lamps(),
-                        {"a": ("b", "a"), "b": ("b", "b")}, name="lamp-choice")
+    return bare_strategy(src, EMPTY, neutral_step(), two_lamps(),
+                         {"a": (3, "a"), "b": (3, "b")}, name="lamp-choice")
 
 
 @cache
@@ -212,9 +212,9 @@ def lamp_choice_staged():
                         causes=[("n1", "a"), ("n2", "b")],
                         conflicts=[("n1", "n2")]),
         {"n1": NEUTRAL, "n2": NEUTRAL, "a": PLUS, "b": PLUS})
-    return in_game_bare(src, neutral_step(), two_lamps(),
-                        {"n1": ("n", "u"), "n2": ("n", "u"),
-                         "a": ("b", "a"), "b": ("b", "b")},
+    return bare_strategy(src, EMPTY, neutral_step(), two_lamps(),
+                         {"n1": (2, "u"), "n2": (2, "u"),
+                          "a": (3, "a"), "b": (3, "b")},
                         name="lamp-choice-staged")
 
 
@@ -225,9 +225,9 @@ def lamp_choice_biased():
         event_structure(["n", "a", "b"], causes=[("n", "a")],
                         conflicts=[("n", "b")]),
         {"n": NEUTRAL, "a": PLUS, "b": PLUS})
-    return in_game_bare(src, neutral_step(), two_lamps(),
-                        {"n": ("n", "u"), "a": ("b", "a"), "b": ("b", "b")},
-                        name="lamp-choice-biased")
+    return bare_strategy(src, EMPTY, neutral_step(), two_lamps(),
+                         {"n": (2, "u"), "a": (3, "a"), "b": (3, "b")},
+                         name="lamp-choice-biased")
 
 
 # ---- the deadlocking pair ------------------------------------------------------------

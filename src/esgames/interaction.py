@@ -63,20 +63,6 @@ class SecuredBijection:
     def below(self, p):
         return self._below[p]
 
-    def __eq__(self, other):
-        if not isinstance(other, SecuredBijection):
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __repr__(self):
-        return f"<secured bijection: {len(self.pairs)} pairs>"
-
 
 def _glued_order(left_below, left_pairs, right_below, right_pairs):
     """Reflexive down-closure of each pair, a pair lying above the pairs of
@@ -476,8 +462,8 @@ def _stopping_pairings(s, t):
 
 def interact_stopping(s, t, limits=DEFAULT_LIMITS):
     """Interaction of stopping strategies: pair the stopping sets."""
-    stopping = frozenset(got[0] for got in _stopping_pairings(s, t))
-    return interact(s.strat, t.strat, limits), stopping
+    stopping = {got[0] for got in _stopping_pairings(s, t)}
+    return StoppingStrategy(interact(s.strat, t.strat, limits), stopping)
 
 
 def compose_stopping(s, t, limits=DEFAULT_LIMITS, name=""):

@@ -7,10 +7,11 @@ sorted events throughout, so a seed pins the output exactly.
 """
 
 from .errors import InvalidStructure
-from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game, is_race_free
+from .games import (EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game,
+                    is_race_free, parallel)
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, bare_strategy, strategy
-from .structures import ekey, event_structure, sortedevents
+from .structures import ekey, event_structure
 
 ATTEMPTS = 200
 
@@ -39,22 +40,10 @@ def random_game(rng, max_events=5, min_events=1, race_free=True, name=""):
                 {f"a{i}": PLUS for i in range(n)}, name=name)
 
 
-def _target_shape(A, middle_events, B):
-    """Polarity, order and conflict pairs of dual(A) || N || B, flattened."""
-    pol = {}
-    order = []
-    clashes = []
-    for a in sortedevents(A.events):
-        pol[(1, a)] = dual(A).pol[a]
-    for m in middle_events:
-        pol[(2, m)] = NEUTRAL
-    for b in sortedevents(B.events):
-        pol[(3, b)] = B.pol[b]
-    for i, g in ((1, A), (3, B)):
-        for (c, e) in g.es.immediate_pairs():
-            order.append(((i, c), (i, e)))
-        clashes += [((i, c), (i, e)) for c, e in g.es.inconsistent_pairs()]
-    return pol, order, clashes
+def _target_shape(A, middle, B):
+    """Polarity, immediate order and conflict pairs of dual(A) || N || B."""
+    t = parallel(dual(A), middle, B)
+    return t.pol, t.es.immediate_pairs(), t.es.inconsistent_pairs()
 
 
 def _receptive_core(tpol, torder, picked):
@@ -128,7 +117,7 @@ def _fallback_source(tpol, torder, tclashes):
 
 def random_strategy(rng, A, B, limits=DEFAULT_LIMITS):
     """A valid strategy from A to B (neutral-free source)."""
-    return _draw(rng, A, (), B, lambda src, assign: strategy(
+    return _draw(rng, A, EMPTY, B, lambda src, assign: strategy(
         src, A, B, assign, limits=limits))
 
 
@@ -143,14 +132,14 @@ def random_bare(rng, A, B, max_neutrals=2, limits=DEFAULT_LIMITS,
     middle_events = [f"n{i}" for i in range(k)]
     middle = Polarised(event_structure(middle_events),
                        {m: NEUTRAL for m in middle_events})
-    return _draw(rng, A, middle_events, B, lambda src, assign: bare_strategy(
+    return _draw(rng, A, middle, B, lambda src, assign: bare_strategy(
         src, A, middle, B, assign, limits=limits))
 
 
-def _draw(rng, A, middle_events, B, build):
+def _draw(rng, A, middle, B, build):
     """build(source, assign) on random candidates over dual(A) || N || B
     until one validates, else on the fallback source."""
-    tpol, torder, tclashes = _target_shape(A, middle_events, B)
+    tpol, torder, tclashes = _target_shape(A, middle, B)
     for _ in range(ATTEMPTS):
         events, causes, conflicts, pol, assign = _random_source(
             rng, tpol, torder, tclashes)

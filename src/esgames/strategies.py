@@ -39,7 +39,7 @@ from .games import (
     plus_subset,
 )
 from .limits import DEFAULT_LIMITS
-from .structures import ESMap, sortedevents, validate_map
+from .structures import ESMap, cfgkey, sortedevents, validate_map
 
 
 class BareStrategy:
@@ -125,30 +125,17 @@ def bare_strategy(source, game_a, middle, game_b, assign, name="",
 
 
 def strategy(source, game_a, game_b, assign, name="", limits=DEFAULT_LIMITS):
-    """A strategy: bare strategy with an empty middle and no neutral source events."""
-    st = bare_strategy(source, game_a, EMPTY, game_b, assign, name=name,
-                       limits=limits)
-    if not st.is_strategy:
-        raise InvalidStructure([PolarityMismatch(
-            "strategy source must have no neutral events",
-            neutrals=source.events_with(NEUTRAL))])
-    return st
+    """A strategy from game A to game B: a bare strategy with an empty
+    middle. Over games no neutral source event has an image of its
+    polarity, so validation rejects one."""
+    return bare_strategy(source, game_a, EMPTY, game_b, assign, name=name,
+                         limits=limits)
 
 
 def in_game_strategy(source, g, assign, name="", limits=DEFAULT_LIMITS):
     """A strategy in a single game: from the empty game into g."""
     return strategy(source, EMPTY, g, {s: (3, v) for s, v in assign.items()},
                     name=name, limits=limits)
-
-
-def in_game_bare(source, middle, g, assign, name="", limits=DEFAULT_LIMITS):
-    """A bare strategy in a single game; assign values are ('n', e) for middle
-    events and ('b', e) for game events."""
-    wrapped = {}
-    for s, (kind, e) in assign.items():
-        wrapped[s] = (2, e) if kind == "n" else (3, e)
-    return bare_strategy(source, EMPTY, middle, g, wrapped, name=name,
-                         limits=limits)
 
 
 def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
@@ -261,8 +248,8 @@ class StoppingStrategy:
         self.name = name or strat.name
         self.strat = strat
         stopping = frozenset(frozenset(x) for x in stopping)
-        bad = [x for x in stopping
-               if not strat.source.es.is_configuration(x)]
+        bad = sorted((x for x in stopping
+                      if not strat.source.es.is_configuration(x)), key=cfgkey)
         if bad:
             raise InvalidStructure([NotAConfiguration(
                 f"stopping member {sortedevents(x)} is not a configuration",
@@ -313,8 +300,7 @@ def saturate_stopping(st, limits=DEFAULT_LIMITS):
     """The stopping data a neutral-free strategy induces on its own."""
     if not st.is_strategy:
         raise BadArgument("saturate_stopping expects a neutral-free strategy")
-    return StoppingStrategy(st, {x for x in st.configurations(limits)
-                                 if is_plus_maximal(st.source, x)},
+    return StoppingStrategy(st, stop_of(st, limits).stopping,
                             name=f"sat({st.name})" if st.name else "")
 
 
@@ -331,12 +317,13 @@ def copycat_strategy(A, name=""):
 # ---- 2-cells -------------------------------------------------------------------
 
 
-def _strat_of(s):
+def strategy_of(s):
+    """The strategy under s: s itself, or a stopping strategy's strategy."""
     return s.strat if isinstance(s, StoppingStrategy) else s
 
 
 def same_signature(s1, s2):
-    b1, b2 = _strat_of(s1), _strat_of(s2)
+    b1, b2 = strategy_of(s1), strategy_of(s2)
     return b1.A == b2.A and b1.N == b2.N and b1.B == b2.B
 
 
@@ -350,7 +337,7 @@ def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
     if kind == "stopping" and not (isinstance(src, StoppingStrategy)
                                    and isinstance(dst, StoppingStrategy)):
         raise BadArgument("a stopping 2-cell joins two stopping strategies")
-    bsrc, bdst = _strat_of(src), _strat_of(dst)
+    bsrc, bdst = strategy_of(src), strategy_of(dst)
     diags = []
     if not same_signature(src, dst):
         diags.append(GameMismatch("2-cell endpoints over different games"))
@@ -408,9 +395,7 @@ def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
 
 def two_cell_visible(f, src, dst):
     """The induced map between visible sources: restrict to non-neutral events."""
-    bsrc, bdst = _strat_of(src), _strat_of(dst)
-    vsrc, _, _ = visible_part(bsrc)
-    vdst, _, _ = visible_part(bdst)
+    vsrc, vdst = strategy_of(src).visible, strategy_of(dst).visible
     if isinstance(f, dict):
         mapping = f
     else:

@@ -421,16 +421,6 @@ def event_structure(events, causes=(), conflicts=(), consistent=None, name=""):
     return es
 
 
-def enumerate_configurations(es, limits=DEFAULT_LIMITS):
-    return es.configurations(limits)
-
-
-def derive_relations(es):
-    """Immediate causal dependency and concurrency, as pair sets."""
-    return {"immediate": es.immediate_pairs(),
-            "concurrent": es.concurrent_pairs()}
-
-
 # ---- maps --------------------------------------------------------------------
 
 

@@ -263,7 +263,8 @@ def _gap_payloads(g, alpha):
 
 
 def _saturation(g, t1):
-    """Events whose history outside t1 consists of moves the test itself owns."""
+    """Events whose history outside t1 consists of moves the test itself owns;
+    with t1 empty, the moves every test must be ready for."""
     return {a for a in g.events
             if all(g.pol[b] == PLUS for b in g.es.below(a) - t1)}
 
@@ -302,11 +303,6 @@ def _fresh_tag(tag, moves):
     return tag
 
 
-def _flip(g):
-    d = dual(g)
-    return {a: d.pol[a] for a in g.events}
-
-
 def _replay(v2, gap, configs, own, limits):
     """The gap trace replayed against v2 over configs(), the configurations
     of v2 that count: the game, the trace's moves t1, their saturation t1p,
@@ -334,7 +330,7 @@ def _replay(v2, gap, configs, own, limits):
     # an inconsistent set onto the game
     conflicts = [(a, b) for a, b in g.es.inconsistent_pairs()
                  if a in t1p and b in t1p]
-    pol = _flip(g)
+    pol = dual(g).pol
     return g, t1, t1p, causes, conflicts, {a: pol[a] for a in t1p}
 
 
@@ -404,12 +400,6 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
 # ---- bounded exhaustive test enumeration ----------------------------------------------
 
 
-def _forced_opponent_core(g):
-    """Moves every test must be ready for: positive history all the way down."""
-    return {a for a in g.events
-            if all(g.pol[b] == PLUS for b in g.es.below(a))}
-
-
 def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
     """Every valid test over g with at most max_events source events, one
     per isomorphism class.
@@ -435,7 +425,7 @@ _KEPT_ENUMERATIONS = 8
 
 @lru_cache(maxsize=_KEPT_ENUMERATIONS)
 def _enumerate_tests(g, max_events, bare, limits):
-    pol = _flip(g)
+    pol = dual(g).pol
     found = []
     for combo in _combos(g, max_events, bare):
         found.extend(_skeletons(g, pol, combo, limits))
@@ -450,7 +440,7 @@ def _combos(g, max_events, bare):
     kinds = [("g", a) for a in g.es.ordered] + [("t", None)]
     if bare:
         kinds.append(("n", None))
-    core = _forced_opponent_core(g)
+    core = _saturation(g, set())
     for n in range(max_events + 1):
         for combo in combinations_with_replacement(kinds, n):
             gpart = [a for k, a in combo if k == "g"]

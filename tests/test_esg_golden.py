@@ -6,7 +6,7 @@ ordered pair of definitions, of each fixture, with and without
 its argv, exit code and short SHA-256 digests of stdout and stderr. A change
 that keeps the printed bytes keeps this file.
 
-Regenerate the file with `python tests/test_esg_golden.py`.
+Regenerate the file with `PYTHONPATH=src python tests/test_esg_golden.py`.
 """
 
 import contextlib

@@ -1,5 +1,6 @@
 """The .esg text format and the esg command line driver."""
 
+import os
 import re
 import subprocess
 import sys
@@ -50,6 +51,28 @@ def test_duplicate_name_rejected():
 def test_unknown_reference_rejected():
     with pytest.raises(ParseError, match="unknown name"):
         parse("strategy s : nowhere { }")
+
+
+_ONE_STRATEGY = "game G { event a +; }\nstrategy s : G { event t +; assign t -> a; }\n"
+
+
+@pytest.mark.parametrize("text, message, line, col", [
+    ("game G { event a x; }", "expected polarity + - or 0, got 'x'", 1, 18),
+    ("game G {\n  event a +;\n  event a -;\n}", "event 'a' declared twice",
+     3, 3),
+    ("game G { widget a; }", "unknown item 'widget'", 1, 10),
+    ("es E {\n  event a 0;\n  assign a -> a;\n}",
+     "assign/stop do not belong in an es or game body", 1, 1),
+    (_ONE_STRATEGY + "stopping S { stop { }; }",
+     "stopping 'S' needs a `strategy REF;` item", 3, 1),
+    (_ONE_STRATEGY + "stopping S { strategy s; event u +; }",
+     "a stopping body holds only strategy and stop items", 3, 1),
+])
+def test_malformed_bodies_are_located(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == f"{message} at {line}:{col}"
+    assert err.value.data == {"line": line, "col": col}
 
 
 def test_receptivity_violation_carries_location():
@@ -699,3 +722,73 @@ def test_cli_relations_lists_causes_conflicts_and_concurrency(tmp_path,
     assert capsys.readouterr().out == (
         "cause a < b\nconflict a ~ c\n"
         "concurrent a | d\nconcurrent b | d\nconcurrent c | d\n")
+
+
+def test_cli_check_counts_map_entries_and_stopping_configurations(tmp_path,
+                                                                   capsys):
+    path = tmp_path / "map.esg"
+    path.write_text("game A { event a +; }\nmap f : A -> A { a -> a; }\n")
+    assert run("-f", str(path), "check", "f") == 0
+    assert capsys.readouterr().out == "ok f: map, 1 entries\n"
+    assert run("-f", NEUTRAL, "check", "S1", "S2") == 0
+    assert capsys.readouterr().out == (
+        "ok S1: stopping, 1 stopping configurations\n"
+        "ok S2: stopping, 2 stopping configurations\n")
+
+
+def test_cli_dot_renders_no_map(tmp_path, capsys):
+    path = tmp_path / "map.esg"
+    path.write_text("game A { event a +; }\nmap f : A -> A { a -> a; }\n")
+    with pytest.raises(ParseError) as err:
+        export_dot(parse_file(path).get("f"))
+    assert err.value.data == {"line": None, "col": None}
+    assert run("-f", str(path), "dot", "f") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot render a map as DOT\n"
+
+
+def test_cli_rigid_image_of_a_plain_strategy_exactly(capsys):
+    assert run("-f", DEADLOCK, "rigid-image", "sigma_or") == 0
+    assert capsys.readouterr().out == """game GB {
+  event b1 +;
+  event b2 +;
+}
+
+strategy sigma_or_ri : GB {
+  event e1 +;
+  event e2 +;
+  conflict e1 ~ e2;
+  assign e1 -> b1;
+  assign e2 -> b2;
+}
+"""
+
+
+def test_cli_dot_out_writes_the_rendering(tmp_path, capsys):
+    target = tmp_path / "gc.dot"
+    assert run("-f", DEADLOCK, "dot", "GC", "--out", str(target)) == 0
+    assert capsys.readouterr().out == f"wrote {target}\n"
+    assert target.read_text() == export_dot(parse_file(DEADLOCK).get("GC"))
+
+
+def test_cli_stopping_member_errors_do_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "fork.esg"
+    path.write_text("""game G { event x +; event y +; event z +;
+         cause x < y; cause x < z; }
+strategy s : G { event x +; event y +; event z +; cause x < y; cause x < z;
+                 assign x -> x; assign y -> y; assign z -> z; }
+stopping S { strategy s; stop { y }; stop { z }; stop { y z }; }
+""")
+    src = Path(cli.__file__).resolve().parent.parent
+    errs = set()
+    for seed in range(6):
+        got = subprocess.run(
+            [sys.executable, "-m", "esgames.cli", "-f", str(path), "check"],
+            cwd=src, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert got.returncode == 2
+        errs.add(got.stderr)
+    assert len(errs) == 1
+    members = re.findall(r"stopping member (\(.*?\)) is not", errs.pop())
+    assert members == ["('y',)", "('z',)", "('y', 'z')"]

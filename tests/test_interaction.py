@@ -4,7 +4,8 @@ import pytest
 
 from esgames import fixtures as fx
 from esgames.errors import (Cycle, EndpointMismatch, ImageMismatch,
-                            MapNotTotal, MiddleGameMismatch, NotRaceFree)
+                            MapNotTotal, MiddleGameMismatch, NotRaceFree,
+                            SizeBoundExceeded)
 from esgames.games import (
     EMPTY,
     MINUS,
@@ -28,6 +29,7 @@ from esgames.interaction import (
     secured_bijection,
     transport_two_cell,
 )
+from esgames.limits import EngineLimits
 from esgames.strategies import (
     copycat_strategy,
     saturate_stopping,
@@ -295,8 +297,7 @@ def test_compose_stopping_worked_examples():
 def test_interact_stopping_deadlock():
     s = saturate_stopping(fx.responder())
     t = saturate_stopping(fx.demander())
-    inter, stopping = interact_stopping(s, t)
-    assert stopping == fs(fs())
+    assert interact_stopping(s, t).stopping == fs(fs())
 
 
 def test_stopping_composition_needs_race_free_games():
@@ -372,3 +373,15 @@ def test_secured_bijection_entry_points_need_total_maps_into_one_target():
             run(ident, elsewhere)
         # an equal target built apart is a common target
         assert run(ident, other) is not None
+    off = ESMap(g, g, {"a": "a", "b": "b", "z": "a"})
+    with pytest.raises(MapNotTotal) as err:
+        pullback(ident, off)
+    assert err.value.data == {"events": fs(), "unknown": fs("z")}
+
+
+def test_pullback_counts_the_empty_bijection_against_its_cap():
+    g = event_structure(["a"])
+    ident = ESMap(g, g, {"a": "a"})
+    with pytest.raises(SizeBoundExceeded) as err:
+        pullback(ident, ident, EngineLimits(max_configs=0))
+    assert err.value.data == {"cap": 0}

@@ -86,7 +86,6 @@ from esgames.testing import (
     _candidates,
     _closures,
     _combos,
-    _flip,
     _structure,
     _subsets,
     _without_common_successor,
@@ -450,7 +449,7 @@ def candidate_bare(rng, A, B, middle_events):
     Opponent move dropped, or copied with or without a conflict."""
     middle = Polarised(event_structure(middle_events),
                        {m: NEUTRAL for m in middle_events})
-    tpol, torder, tclashes = _target_shape(A, middle_events, B)
+    tpol, torder, tclashes = _target_shape(A, middle, B)
     events, causes, conflicts, pol, assign = _random_source(
         rng, tpol, torder, tclashes)
     opponent = [e for e in events if pol[e] == MINUS]
@@ -640,7 +639,7 @@ def combo_polarities(pol, combo):
 def exhaustive_tests(g, max_events, bare):
     """Every valid test over g in candidate order, relabellings included:
     each candidate built through event_structure and validated in full."""
-    pol = _flip(g)
+    pol = dual(g).pol
     found = []
     for combo in _combos(g, max_events, bare):
         n = len(combo)
@@ -729,7 +728,7 @@ def test_verdicts_agree_across_each_class(seed):
 @settings(max_examples=40, deadline=None)
 def test_skeletons_built_directly_are_those_event_structure_builds(seed):
     g = random_game(random.Random(seed), 2)
-    pol = _flip(g)
+    pol = dual(g).pol
     for combo in _combos(g, 3, True):
         n = len(combo)
         pols = combo_polarities(pol, combo)

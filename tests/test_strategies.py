@@ -5,16 +5,20 @@ import pytest
 from esgames import fixtures as fx
 from esgames.errors import (
     BadArgument,
+    GameMismatch,
     InvalidStructure,
+    MapNotTotal,
     MinusInnocenceViolation,
     NotAConfiguration,
     NotEpi,
     NotPlusReflecting,
     NotReceptive,
+    NotRigid,
     PlusInnocenceViolation,
     PolarityMismatch,
     SizeBoundExceeded,
     StoppingNotPreserved,
+    TriangleBroken,
 )
 from esgames.games import (
     EMPTY,
@@ -438,3 +442,44 @@ def test_strategy_level_reads_do_not_enumerate_the_source_again(monkeypatch):
     saturate_stopping(subject)
     may_pass(subject, probe)
     assert [es for es in calls if es is subject.source.es] == []
+
+
+def test_bare_strategy_needs_a_neutral_middle_and_a_total_assignment():
+    g = fx.one_shot()
+    src = Polarised(event_structure(["s"]), {"s": PLUS})
+    diags = validate_bare_strategy(BareStrategy(src, EMPTY, g, g, {"s": (3, "p")}))
+    assert [(type(d), d.data) for d in diags] == [(PolarityMismatch, {})]
+    two = Polarised(event_structure(["s", "t"]), {"s": PLUS, "t": PLUS})
+    diags = validate_bare_strategy(
+        BareStrategy(two, EMPTY, EMPTY, g, {"s": (3, "p")}))
+    assert [(type(d), d.data) for d in diags] == [(MapNotTotal, {"events": ("t",)})]
+
+
+def test_two_cell_diagnostics_name_what_breaks():
+    b2, c = fx.press_b2(), fx.press_c()
+    assert [(type(d), d.data) for d in validate_two_cell({"s": "s"}, b2, c)] \
+        == [(GameMismatch, {})]
+    assert [(type(d), d.data)
+            for d in validate_two_cell({}, b2, fx.press_either())] \
+        == [(MapNotTotal, {"events": ("s",)})]
+    # the Opponent move t1 sent onto the Player move t3
+    relay = fx.relay_b2_to_c()
+    diags = validate_two_cell({"t1": "t3", "t2": "t2", "t3": "t3"}, relay, relay)
+    assert [(type(d), d.data) for d in diags
+            if isinstance(d, (PolarityMismatch, TriangleBroken))] == [
+        (PolarityMismatch, {"event": "t1"}), (TriangleBroken, {"event": "t1"})]
+
+
+def test_a_two_cell_that_drops_a_cause_is_not_rigid():
+    g = game(event_structure(["m", "p"]), {"m": MINUS, "p": PLUS})
+    pol = {"m": MINUS, "s": PLUS}
+    waits = in_game_strategy(
+        Polarised(event_structure(["m", "s"], causes=[("m", "s")]), pol),
+        g, {"m": "m", "s": "p"})
+    eager = in_game_strategy(Polarised(event_structure(["m", "s"]), pol),
+                             g, {"m": "m", "s": "p"})
+    f = {"m": "m", "s": "s"}
+    assert validate_two_cell(f, waits, eager) == []
+    assert [(type(d), d.data)
+            for d in validate_two_cell(f, waits, eager, kind="rigid_epi")] \
+        == [(NotRigid, {})]

@@ -22,8 +22,6 @@ from esgames.errors import (
 from esgames.limits import EngineLimits
 from esgames.structures import (
     ESMap,
-    derive_relations,
-    enumerate_configurations,
     event_structure,
     factorize,
     find_isomorphism,
@@ -42,14 +40,14 @@ def chain(*names):
 
 def test_chain_configurations():
     es = chain("a", "b", "c")
-    assert enumerate_configurations(es) == [
+    assert es.configurations() == [
         fs(), fs("a"), fs("a", "b"), fs("a", "b", "c")]
     assert es.maxcons == (fs("a", "b", "c"),)
 
 
 def test_concurrent_configurations():
     es = event_structure(["a", "b"])
-    assert enumerate_configurations(es) == [fs(), fs("a"), fs("b"), fs("a", "b")]
+    assert es.configurations() == [fs(), fs("a"), fs("b"), fs("a", "b")]
 
 
 def test_conflict_is_hereditary():
@@ -57,7 +55,7 @@ def test_conflict_is_hereditary():
     es = event_structure(["a", "b", "c"], causes=[("b", "c")],
                          conflicts=[("a", "b")])
     assert set(es.maxcons) == {fs("a"), fs("b", "c")}
-    assert enumerate_configurations(es) == [fs(), fs("a"), fs("b"), fs("b", "c")]
+    assert es.configurations() == [fs(), fs("a"), fs("b"), fs("b", "c")]
     assert not es.is_consistent({"a", "c"})
 
 
@@ -131,15 +129,14 @@ def test_unknown_event_in_cause():
 def test_relations_on_fork_shape():
     es = event_structure(["a", "b", "c", "d"],
                          causes=[("a", "c"), ("b", "c"), ("b", "d")])
-    rel = derive_relations(es)
-    assert rel["immediate"] == fs(("a", "c"), ("b", "c"), ("b", "d"))
-    assert rel["concurrent"] == fs(("a", "b"), ("a", "d"), ("c", "d"))
+    assert es.immediate_pairs() == fs(("a", "c"), ("b", "c"), ("b", "d"))
+    assert es.concurrent_pairs() == fs(("a", "b"), ("a", "d"), ("c", "d"))
 
 
 def test_immediate_skips_transitive_edges():
     es = event_structure(["a", "b", "c"],
                          causes=[("a", "b"), ("b", "c"), ("a", "c")])
-    assert derive_relations(es)["immediate"] == fs(("a", "b"), ("b", "c"))
+    assert es.immediate_pairs() == fs(("a", "b"), ("b", "c"))
 
 
 def test_down_closure():
@@ -184,7 +181,7 @@ def test_restrict_keeps_reachable_order():
     sub = es.restrict({"a", "c"})
     assert sub.events == fs("a", "c")
     assert sub.leq("a", "c")
-    assert enumerate_configurations(sub) == [fs(), fs("a"), fs("a", "c")]
+    assert sub.configurations() == [fs(), fs("a"), fs("a", "c")]
 
 
 # ---- maps ---------------------------------------------------------------------
@@ -296,3 +293,20 @@ def test_map_composition_needs_meeting_endpoints():
     assert f.then(ESMap(b, a, {"b": "a"})).mapping == {"a": "a"}
     with pytest.raises(EndpointMismatch):
         f.then(ESMap(a, b, {"a": "b"}))
+
+
+def test_unknown_events_and_uncovered_events_are_reported():
+    es = chain("a", "b")
+    with pytest.raises(UnknownEvent) as err:
+        es.below("z")
+    assert err.value.data == {"event": "z"}
+    with pytest.raises(UnknownEvent) as err:
+        es.restrict({"a", "z"})
+    assert err.value.data == {"events": fs("z")}
+    rep = validate_map(ESMap(es, es, {"a": "a", "b": "b", "z": "a"}))
+    assert [(type(d), d.data) for d in rep.diagnostics] \
+        == [(UnknownEvent, {"event": "z"})]
+    with pytest.raises(InvalidStructure) as err:
+        event_structure(["a", "b"], consistent=[["a"]])
+    assert [(type(d), d.data) for d in err.value.diagnostics] \
+        == [(InconsistentSingleton, {"event": "b"})]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from esgames import fixtures as fx
 from esgames.errors import GameMismatch, NotAGap, SizeBoundExceeded
-from esgames.games import MINUS, NEUTRAL, PLUS, Polarised, game
+from esgames.games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
 from esgames.interaction import compose_stopping
 from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.randgen import random_game, random_in_game_strategy, random_stopping
@@ -585,3 +585,13 @@ def test_a_test_compares_a_game_object_once(monkeypatch):
     compared.clear()
     must_pass(subject, test)
     assert compared == []
+
+
+def test_preorders_and_synthesis_refuse_what_is_not_over_their_game():
+    with pytest.raises(GameMismatch) as err:
+        may_preorder(fx.press_b2(), fx.press_c())
+    assert err.value.data == {"left": (EMPTY, fx.buttons()),
+                              "right": (EMPTY, fx.click())}
+    with pytest.raises(NotAGap) as err:
+        synthesize_may_test(fx.press_b2(), (fs(), ((3, "nope"),)))
+    assert err.value.data == {"event": "nope"}
