@@ -2,25 +2,22 @@
 
 Exit codes: 0 = yes/pass, 1 = no/fail (witness printed), 2 = usage, parse,
 or validation error.
+
+The interaction, testing and rigid layers are imported by the commands that
+run them, so that a command which needs none of them does not load them.
 """
 
 import argparse
 import sys
-from dataclasses import replace
-from functools import partial
 
 from .errors import EsgError, ParseError
 from .fileformat import (Definition, Workspace, _clean, _naming, _ws_name_for,
                          export_dot, parse_file, print_workspace, shape_kind)
 from .games import NEUTRAL, Polarised, dual, parallel, payload
-from .interaction import compose, compose_stopping, interact, interact_stopping
-from .limits import DEFAULT_LIMITS
-from .rigid import rigid_image, rigid_image_stopping
+from .limits import EngineLimits
 from .strategies import (BareStrategy, StoppingStrategy, copycat_strategy,
                          saturate_stopping, stop_of, strategy_of)
 from .structures import EventStructure, sortedevents
-from .testing import (find_gap, may_pass, may_preorder, must_pass,
-                      must_preorder, synthesize_may_test, synthesize_must_test)
 
 STRATEGY_KINDS = ("strategy", "bare", "test")
 SUBJECT_KINDS = STRATEGY_KINDS + ("stopping",)
@@ -28,8 +25,19 @@ SUBJECT_KINDS = STRATEGY_KINDS + ("stopping",)
 
 def _limits(args):
     caps = {"max_configs": args.max_configs, "max_primes": args.max_primes}
-    return replace(DEFAULT_LIMITS,
-                   **{k: v for k, v in caps.items() if v is not None})
+    return EngineLimits(**{k: v for k, v in caps.items() if v is not None})
+
+
+def _cap(text):
+    """A size cap from the command line: an integer of at least 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 0, got {text!r}")
+    return n
 
 
 def _load(args, limits):
@@ -229,6 +237,18 @@ def _cmd_par(ws, args, limits):
     return out.emit(args)
 
 
+def _cmd_compose(ws, args, limits):
+    from .interaction import compose, compose_stopping
+    return _run_pairing(ws, args, limits, "after", compose, compose_stopping,
+                        None)
+
+
+def _cmd_interact(ws, args, limits):
+    from .interaction import interact, interact_stopping
+    return _run_pairing(ws, args, limits, "with", interact, interact_stopping,
+                        "bare")
+
+
 def _run_pairing(ws, args, limits, word, plain, stopping, kind):
     """TAU after SIGMA by plain, or by stopping on two stopping definitions,
     printed as a definition named TAU_word_SIGMA."""
@@ -263,6 +283,16 @@ def _cmd_saturate(ws, args, limits):
     return out.emit(args)
 
 
+def _cmd_may(ws, args, limits):
+    from .testing import may_pass
+    return _run_verdict(ws, args, limits, may_pass, "witness")
+
+
+def _cmd_must(ws, args, limits):
+    from .testing import must_pass
+    return _run_verdict(ws, args, limits, must_pass, "counterexample")
+
+
 def _run_verdict(ws, args, limits, runner, fail_word):
     sub = ws.get(args.subject, SUBJECT_KINDS)
     test = ws.get(args.test, STRATEGY_KINDS)
@@ -286,6 +316,16 @@ def _print_witness(label, pair, sub, test):
           f" test {_fmt_config(y, tnames)}")
 
 
+def _cmd_may_preorder(ws, args, limits):
+    from .testing import may_preorder
+    return _run_preorder(ws, args, limits, may_preorder)
+
+
+def _cmd_must_preorder(ws, args, limits):
+    from .testing import must_preorder
+    return _run_preorder(ws, args, limits, must_preorder)
+
+
 def _run_preorder(ws, args, limits, checker):
     a = ws.get(args.first, SUBJECT_KINDS)
     b = ws.get(args.second, SUBJECT_KINDS)
@@ -301,7 +341,19 @@ def _run_preorder(ws, args, limits, checker):
     return 1
 
 
+def _cmd_synth_may(ws, args, limits):
+    from .testing import may_pass, synthesize_may_test
+    return _run_synth(ws, args, limits, "may", synthesize_may_test, may_pass)
+
+
+def _cmd_synth_must(ws, args, limits):
+    from .testing import must_pass, synthesize_must_test
+    return _run_synth(ws, args, limits, "must", synthesize_must_test,
+                      must_pass)
+
+
 def _run_synth(ws, args, limits, kind, synthesize, runner):
+    from .testing import find_gap
     a = ws.get(args.first, SUBJECT_KINDS)
     b = ws.get(args.second, SUBJECT_KINDS)
     gap = find_gap(kind, a.obj, b.obj, limits)
@@ -320,6 +372,7 @@ def _run_synth(ws, args, limits, kind, synthesize, runner):
 
 
 def _cmd_rigid_image(ws, args, limits):
+    from .rigid import rigid_image, rigid_image_stopping
     d = ws.get(args.name, SUBJECT_KINDS)
     out = _Out(ws)
     if d.kind == "stopping":
@@ -352,8 +405,8 @@ def _build_parser():
         description="Concurrent games: structures, strategies, and tests.")
     ap.add_argument("-f", "--file", action="append", metavar="PATH",
                     help="input .esg file; may be repeated")
-    ap.add_argument("--max-configs", type=int, default=None)
-    ap.add_argument("--max-primes", type=int, default=None)
+    ap.add_argument("--max-configs", type=_cap, default=None)
+    ap.add_argument("--max-primes", type=_cap, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def cmd(name, fn, help_, positionals, out=False):
@@ -380,33 +433,26 @@ def _build_parser():
     cmd("dual", _cmd_dual, "polarity-reversed structure", ["name"], out=True)
     cmd("par", _cmd_par, "parallel composition of structures",
         ["names+"], out=True)
-    cmd("compose", partial(_run_pairing, word="after", plain=compose,
-                           stopping=compose_stopping, kind=None),
-        "composition with hiding (tau after sigma)", ["tau", "sigma"],
-        out=True)
-    cmd("interact", partial(_run_pairing, word="with", plain=interact,
-                            stopping=interact_stopping, kind="bare"),
-        "interaction, internal events kept", ["tau", "sigma"], out=True)
+    cmd("compose", _cmd_compose, "composition with hiding (tau after sigma)",
+        ["tau", "sigma"], out=True)
+    cmd("interact", _cmd_interact, "interaction, internal events kept",
+        ["tau", "sigma"], out=True)
     cmd("st", _cmd_st, "visible part with induced stopping set",
         ["name"], out=True)
     cmd("saturate", _cmd_saturate, "all maximal configurations as stopping",
         ["name"], out=True)
-    cmd("may", partial(_run_verdict, runner=may_pass, fail_word="witness"),
-        "may the subject pass the test", ["subject", "test"])
-    cmd("must", partial(_run_verdict, runner=must_pass,
-                        fail_word="counterexample"),
-        "must the subject pass the test", ["subject", "test"])
-    cmd("may-preorder", partial(_run_preorder, checker=may_preorder),
-        "trace inclusion", ["first", "second"])
-    cmd("must-preorder", partial(_run_preorder, checker=must_preorder),
-        "stopping-trace inclusion", ["first", "second"])
-    cmd("synth-may", partial(_run_synth, kind="may",
-                             synthesize=synthesize_may_test, runner=may_pass),
+    cmd("may", _cmd_may, "may the subject pass the test",
+        ["subject", "test"])
+    cmd("must", _cmd_must, "must the subject pass the test",
+        ["subject", "test"])
+    cmd("may-preorder", _cmd_may_preorder, "trace inclusion",
+        ["first", "second"])
+    cmd("must-preorder", _cmd_must_preorder, "stopping-trace inclusion",
+        ["first", "second"])
+    cmd("synth-may", _cmd_synth_may,
         "build a test splitting the may preorder", ["first", "second"],
         out=True)
-    cmd("synth-must", partial(_run_synth, kind="must",
-                              synthesize=synthesize_must_test,
-                              runner=must_pass),
+    cmd("synth-must", _cmd_synth_must,
         "build a test splitting the must preorder", ["first", "second"],
         out=True)
     cmd("rigid-image", _cmd_rigid_image, "collapse to the rigid image",

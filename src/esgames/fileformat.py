@@ -19,12 +19,12 @@ assignment targets, one neutral event each.
 import re
 
 from .errors import EsgError, ParseError
-from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
+from .games import (EMPTY, MINUS, NEUTRAL, PLUS, TICK, Polarised, game,
+                    success_game)
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, bare_strategy, strategy_of
 from .structures import (ESMap, ekey, event_structure, maximal_consistent_sets,
                          sortedevents, validate_map)
-from .testing import TICK, success_game
 
 _ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _KINDS = ("es", "game", "map", "strategy", "bare", "test", "stopping")

@@ -6,11 +6,11 @@ first use.
 
 from functools import cache
 
-from .games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
+from .games import (EMPTY, MINUS, NEUTRAL, PLUS, TICK, Polarised, game,
+                    success_game)
 from .strategies import (StoppingStrategy, bare_strategy, in_game_strategy,
                          strategy)
 from .structures import event_structure
-from .testing import TICK, success_game
 
 # ---- games ----------------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Polarity, games, duality, parallel composition, and the copycat construction."""
 
+from functools import cache
 from itertools import product
 
 from .errors import BadArgument, PolarityMismatch
@@ -84,6 +85,14 @@ def game(es, pol, name=""):
 
 
 EMPTY = Polarised(event_structure([], name="empty"), {}, name="empty")
+
+TICK = "tick"
+
+
+@cache
+def success_game():
+    """The one-move game a test reports success in."""
+    return game(event_structure([TICK]), {TICK: PLUS}, name="success")
 
 
 def dual(pg, name=""):

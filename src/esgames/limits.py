@@ -1,12 +1,10 @@
 """Engine size caps, threaded through every enumeration."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-
-@dataclass(frozen=True)
-class EngineLimits:
-    max_configs: int = 2 ** 20    # configuration / secured-bijection / trace cap
-    max_primes: int = 4096        # pullback prime cap
-
+# max_configs caps configurations, secured bijections and traces;
+# max_primes caps the primes of a pullback
+EngineLimits = namedtuple("EngineLimits", "max_configs max_primes",
+                          defaults=[2 ** 20, 4096])
 
 DEFAULT_LIMITS = EngineLimits()

@@ -7,7 +7,7 @@ the played-so-far set, the order the source imposed on it, and which move the
 event itself was. Two events with equal records become one.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import BadArgument
 from .games import Polarised, is_plus_maximal
@@ -16,23 +16,44 @@ from .strategies import StoppingStrategy, strategy
 from .structures import ekey, event_structure
 
 
-@dataclass(frozen=True)
 class PointedAugmentation:
     """A finite set of target events, ordered at least as the target orders
-    them, with a single top element: one event occurrence with its history."""
+    them, with a single top element: one event occurrence with its history.
 
-    carrier: frozenset
-    order: frozenset  # strict pairs (a, b), transitively closed
-    top: object
+    Immutable. Not a tuple, so that ekey orders augmentations by their repr.
+    """
 
-    def __post_init__(self):
-        if self.top not in self.carrier:
-            raise ValueError(f"top {self.top!r} outside the carrier")
-        below_top = {a for (a, b) in self.order if b == self.top}
-        if below_top != self.carrier - {self.top}:
+    __slots__ = ("carrier", "order", "top")
+
+    def __init__(self, carrier, order, top):
+        # order: strict pairs (a, b), transitively closed
+        if top not in carrier:
+            raise ValueError(f"top {top!r} outside the carrier")
+        below_top = {a for (a, b) in order if b == top}
+        if below_top != carrier - {top}:
             raise ValueError("top is not above every other carrier event")
-        if any((b, a) in self.order or a == b for (a, b) in self.order):
+        if any((b, a) in order or a == b for (a, b) in order):
             raise ValueError("order is not a strict partial order")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "top", top)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {value!r} to {name!r}:"
+                             f" {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}:"
+                             f" {type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.carrier, self.order, self.top)
+                == (other.carrier, other.order, other.top))
+
+    def __hash__(self):
+        return hash((self.carrier, self.order, self.top))
 
     def restrict(self, t):
         """The pointed sub-augmentation below one carrier event."""
@@ -96,11 +117,18 @@ STOPPING_NOT_PLUS_MAXIMAL = "stopping-not-plus-maximal"
 PLUS_MAXIMAL_NOT_STOPPING = "plus-maximal-not-stopping"
 
 
-@dataclass(frozen=True)
-class LintFinding:
-    code: str
-    config: frozenset
-    advisory: bool = field(default=False, compare=False)
+_OBSERVATIONS = frozenset({STOPPING_NOT_PLUS_MAXIMAL,
+                           PLUS_MAXIMAL_NOT_STOPPING})
+
+
+class LintFinding(namedtuple("LintFinding", "code config")):
+    """One lint code and the configuration it concerns; advisory when the
+    code is an observation rather than a candidate law."""
+    __slots__ = ()
+
+    @property
+    def advisory(self):
+        return self.code in _OBSERVATIONS
 
     def __repr__(self):
         tag = "note" if self.advisory else "axiom"
@@ -132,10 +160,8 @@ def lint_stopping(st, limits=DEFAULT_LIMITS):
                  for x in dominated]
     for y in st.sorted_stopping():
         if not is_plus_maximal(src, y):
-            findings.append(LintFinding(STOPPING_NOT_PLUS_MAXIMAL, y,
-                                        advisory=True))
+            findings.append(LintFinding(STOPPING_NOT_PLUS_MAXIMAL, y))
     for x in configs:
         if is_plus_maximal(src, x) and x not in st.stopping:
-            findings.append(LintFinding(PLUS_MAXIMAL_NOT_STOPPING, x,
-                                        advisory=True))
+            findings.append(LintFinding(PLUS_MAXIMAL_NOT_STOPPING, x))
     return findings

@@ -146,6 +146,11 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
     causal pair.
     """
     diags = []
+    for side, g in (("A", bs.A), ("B", bs.B)):
+        if not g.is_game:
+            diags.append(PolarityMismatch(
+                f"{side} must be a game without neutral events",
+                neutrals=g.events_with(NEUTRAL)))
     if set(bs.N.pol.values()) - {NEUTRAL}:
         diags.append(PolarityMismatch("middle must be all neutral"))
 

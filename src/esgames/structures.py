@@ -13,8 +13,7 @@ go through maximal_sets: declared consistent blocks, restrict and
 games.copycat.
 """
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from .errors import (
@@ -464,12 +463,7 @@ class ESMap:
         return f"<ESMap {len(self.mapping)}/{len(self.src.events)} events>"
 
 
-@dataclass
-class MapReport:
-    valid: bool
-    total: bool
-    rigid: bool
-    diagnostics: list = field(default_factory=list)
+MapReport = namedtuple("MapReport", "valid total rigid diagnostics")
 
 
 def validate_map(m, limits=DEFAULT_LIMITS, *, configs=None):

@@ -5,15 +5,15 @@ subject passes in the may sense when some pairing reaches the success move,
 and in the must sense when every stopping pairing does.
 """
 
-from dataclasses import dataclass
-from functools import cache, lru_cache
+from collections import namedtuple
+from functools import lru_cache
 from itertools import (chain, combinations, combinations_with_replacement,
                        groupby, permutations, product)
 
 from .errors import (Cycle, GameMismatch, InvalidStructure, NotAGap,
                      SizeBoundExceeded)
-from .games import (MINUS, NEUTRAL, PLUS, Polarised, component, dual, game,
-                    payload)
+from .games import (MINUS, NEUTRAL, PLUS, TICK, Polarised, component, dual,
+                    payload, success_game)
 from .interaction import glue
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, bare_strategy, stop_of, strategy
@@ -21,20 +21,10 @@ from .structures import (EventStructure, ekey, event_structure,
                          inherited_conflicts, maximal_consistent_sets,
                          reflexive_closures, sortedevents)
 
-TICK = "tick"
 
-
-@cache
-def success_game():
-    """The one-move game a test reports success in."""
-    return game(event_structure([TICK]), {TICK: PLUS}, name="success")
-
-
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "passed witness", defaults=[None])):
     """Outcome of a test run; witness is a (subject, test) configuration pair."""
-    passed: bool
-    witness: tuple = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.passed

@@ -403,6 +403,38 @@ def test_cli_import_leaves_networkx_out():
     assert out.stdout.strip() == "False"
 
 
+# the layers only some commands run, and dataclasses, which none needs
+DEFERRED = ("esgames.interaction", "esgames.testing", "esgames.rigid",
+            "dataclasses")
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("check", ""),
+    ("configs sigma_or", ""),
+    ("st tau_bc", ""),
+    ("dot sigma_or", ""),
+    ("copycat GB", ""),
+    ("compose tau_bc sigma_or", "esgames.interaction"),
+    ("rigid-image sigma_or", "esgames.rigid"),
+    ("may-preorder sigma_b2 sigma_or", "esgames.interaction esgames.testing"),
+])
+def test_cli_commands_load_only_the_layers_they_run(command, loaded):
+    argv = ["-f", "fixtures/hidden_deadlock.esg", *command.split()]
+    code = ("import sys; from esgames.cli import main; code = main(sys.argv[1:]);"
+            f" print(code, *sorted(set({DEFERRED!r}) & set(sys.modules)))")
+    root = FIXDIR.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, *argv], cwd=root,
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=60)
+    got, *modules = out.stdout.splitlines()[-1].split()
+    golden = (root / "tests" / "golden" / "esg_fixtures.txt").read_text()
+    want = next(line.split()[0] for line in golden.splitlines()
+                if line.split(" ", 3)[3] == " ".join(argv))
+    assert (got, modules) == (want, loaded.split())
+
+
 def test_cli_strategy_only_commands_refuse_bare_tests(capsys):
     # TAU has a neutral event: a usage error with a message, exit code 2
     for command in ("saturate", "rigid-image"):
@@ -567,6 +599,16 @@ def test_cli_cap_flags_are_the_two_engine_caps(capsys):
         run("--max-test-size", "3", "check")
     assert exit_.value.code == 2
     assert "esg: error:" in capsys.readouterr().err
+    for flag in sorted(flags):
+        for bad in ("-1", "x"):
+            with pytest.raises(SystemExit) as exit_:
+                run(flag, bad, "-f", DEADLOCK, "configs", "sigma_or")
+            assert exit_.value.code == 2
+            assert capsys.readouterr().err.endswith(
+                f"esg: error: argument {flag}: expected an integer of at least"
+                f" 0, got {bad!r}\n")
+    assert run("--max-configs", "0", "-f", DEADLOCK, "check") == 2
+    assert "more than 0 configurations" in capsys.readouterr().err
 
 
 # ---- unreadable input and stray characters -------------------------------------------

@@ -47,6 +47,19 @@ def test_pointed_augmentation_checks_its_shape():
     assert aug.restrict("a") == PointedAugmentation(fs("a"), frozenset(), "a")
 
 
+def test_pointed_augmentations_are_immutable_values():
+    aug = PointedAugmentation(fs("a", "b"), fs(("a", "b")), "b")
+    same = PointedAugmentation(fs("a", "b"), fs(("a", "b")), "b")
+    assert aug == same and len({aug, same}) == 1
+    assert aug != (aug.carrier, aug.order, aug.top)
+    assert repr(aug) == "aug('b'; 'a'<'b')"
+    with pytest.raises(AttributeError):
+        aug.top = "a"
+    with pytest.raises(AttributeError):
+        del aug.top
+    assert aug.top == "b"
+
+
 def test_prime_records_the_image_history():
     relay = fx.relay_b2_to_c()
     p = prime_of(relay, "t3")

@@ -23,6 +23,7 @@ from esgames.errors import (
 from esgames.games import (
     EMPTY,
     MINUS,
+    NEUTRAL,
     PLUS,
     Polarised,
     game,
@@ -453,6 +454,19 @@ def test_bare_strategy_needs_a_neutral_middle_and_a_total_assignment():
     diags = validate_bare_strategy(
         BareStrategy(two, EMPTY, EMPTY, g, {"s": (3, "p")}))
     assert [(type(d), d.data) for d in diags] == [(MapNotTotal, {"events": ("t",)})]
+
+
+def test_bare_strategy_endpoints_must_be_games():
+    neutral = Polarised(event_structure(["u"]), {"u": NEUTRAL})
+    src = Polarised(event_structure(["n"]), {"n": NEUTRAL})
+    with pytest.raises(InvalidStructure) as exc:
+        strategy(src, EMPTY, neutral, {"n": (3, "u")})
+    assert [(type(d), d.data) for d in exc.value.diagnostics] == [
+        (PolarityMismatch, {"neutrals": fs("u")})]
+    diags = validate_bare_strategy(
+        BareStrategy(src, neutral, EMPTY, EMPTY, {"n": (1, "u")}))
+    assert [(type(d), str(d)) for d in diags] == [
+        (PolarityMismatch, "A must be a game without neutral events")]
 
 
 def test_two_cell_diagnostics_name_what_breaks():

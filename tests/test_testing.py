@@ -123,6 +123,18 @@ def test_verdict_is_truthy_on_pass():
     assert not Verdict(False, (fs(), fs()))
 
 
+def test_limits_and_verdicts_are_immutable_values():
+    assert EngineLimits() == DEFAULT_LIMITS
+    assert hash(EngineLimits()) == hash(DEFAULT_LIMITS)
+    assert (repr(EngineLimits(max_configs=3))
+            == "EngineLimits(max_configs=3, max_primes=4096)")
+    assert repr(Verdict(True)) == "Verdict(passed=True, witness=None)"
+    with pytest.raises(AttributeError):
+        DEFAULT_LIMITS.max_configs = 1
+    with pytest.raises(AttributeError):
+        Verdict(False).passed = True
+
+
 def test_success_game_is_one_player_move():
     s = success_game()
     assert s.events == fs(TICK)
