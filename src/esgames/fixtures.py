@@ -1,10 +1,10 @@
 """Shared example games and strategies used by the tests and the scripts.
 
 Names describe behaviour. All builders are cached and fully validated on
-first use.
+first use; the two that take parameters keep their last few results.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 
 from .games import (EMPTY, MINUS, NEUTRAL, PLUS, TICK, Polarised, game,
                     success_game)
@@ -389,7 +389,7 @@ def chain_shadow():
 # ---- truncated climbing pair ---------------------------------------------------------
 
 
-@cache
+@lru_cache(maxsize=8)
 def chain_game(pairs):
     """Alternating Player/Opponent chain with the given number of exchanges."""
     names = []
@@ -402,7 +402,7 @@ def chain_game(pairs):
                 pol, name=f"chain{pairs}")
 
 
-@cache
+@lru_cache(maxsize=8)
 def chain_climbers(pairs, extra_full_copy):
     """Sum of one climber per even stopping depth, as conflicting components.
 

@@ -9,6 +9,7 @@ component typing with an empty middle, so target tags are uniformly
 (1, a) for the dual side, (2, n) for the middle and (3, b) for the B side.
 """
 
+import weakref
 from functools import cached_property
 
 from .errors import (
@@ -41,6 +42,10 @@ from .games import (
 from .limits import DEFAULT_LIMITS
 from .structures import ESMap, cfgkey, sortedevents, validate_map
 
+# (A, N, B) -> dual(A) || N || B, one target per value of the three games,
+# shared by the strategies over them and dropped with the last one
+_targets = weakref.WeakValueDictionary()
+
 
 class BareStrategy:
     """Holds source, games, middle and the assignment into dual(A) || N || B."""
@@ -51,8 +56,10 @@ class BareStrategy:
         self.A = game_a
         self.N = middle
         self.B = game_b
-        self.target = parallel(dual(game_a), middle, game_b,
-                               name=f"target({name})" if name else "")
+        key = game_a, middle, game_b
+        self.target = _targets.get(key)
+        if self.target is None:
+            self.target = _targets[key] = parallel(dual(game_a), middle, game_b)
         self.sigma = ESMap(source.es, self.target.es, assign)
         self._configs = None  # configurations()
         self._stop_of = None  # stop_of(self)

@@ -5,13 +5,12 @@ subject passes in the may sense when some pairing reaches the success move,
 and in the must sense when every stopping pairing does.
 """
 
-from collections import namedtuple
-from functools import lru_cache
+from collections import OrderedDict, namedtuple
 from itertools import (chain, combinations, combinations_with_replacement,
                        groupby, permutations, product)
 
-from .errors import (Cycle, GameMismatch, InvalidStructure, NotAGap,
-                     SizeBoundExceeded)
+from .errors import (BadArgument, Cycle, GameMismatch, InvalidStructure,
+                     NotAGap, SizeBoundExceeded)
 from .games import (MINUS, NEUTRAL, PLUS, TICK, Polarised, component, dual,
                     payload, success_game)
 from .interaction import glue
@@ -400,26 +399,39 @@ def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
     form, then validated in full. Intended for small bounds.
 
     The list is new on every call, but the tests in it are shared between
-    calls on equal games: the last few enumerations are kept, keyed on the
-    game's value. A test's game test.A is therefore equal to g but may be
-    another object, under another name, since names are not part of a
-    game's value.
+    calls on equal games. Enumerations are kept, keyed on the game's value,
+    max_events, bare and limits; together they hold at most _KEPT_TESTS
+    tests, the least recently used is dropped first, and the newest always
+    stays. A test's game test.A is therefore equal to g but may be another
+    object, under another name, since names are not part of a game's value.
+    Tests over equal games and middles share one target, as all strategies
+    over equal (A, N, B) do while some strategy holds it. Raises BadArgument
+    unless max_events is an int of at least 0.
     """
-    return list(_enumerate_tests(g, max_events, bare, limits))
+    if isinstance(max_events, bool) or not isinstance(max_events, int) \
+            or max_events < 0:
+        raise BadArgument(f"max_events must be an int of at least 0, not"
+                          f" {max_events!r}", max_events=max_events)
+    key = g, max_events, bare, limits
+    found = _kept.get(key)
+    if found is None:
+        pol = dual(g).pol
+        found = _kept[key] = tuple(
+            t for combo in _combos(g, max_events, bare)
+            for t in _skeletons(g, pol, combo, limits))
+        held = sum(map(len, _kept.values()))
+        while held > _KEPT_TESTS and len(_kept) > 1:
+            held -= len(_kept.popitem(last=False)[1])
+    else:
+        _kept.move_to_end(key)
+    return list(found)
 
 
-# Enumerations kept by _enumerate_tests; one budget-4 bare enumeration over a
-# one-move Opponent game holds about 820 tests.
-_KEPT_ENUMERATIONS = 8
-
-
-@lru_cache(maxsize=_KEPT_ENUMERATIONS)
-def _enumerate_tests(g, max_events, bare, limits):
-    pol = dual(g).pol
-    found = []
-    for combo in _combos(g, max_events, bare):
-        found.extend(_skeletons(g, pol, combo, limits))
-    return tuple(found)
+# The tests the kept enumerations may hold together: eight budget-4 bare
+# enumerations over a one-move Opponent game, of 824 tests each.
+_KEPT_TESTS = 8 * 824
+# (game, max_events, bare, limits) -> tests, least recently used first
+_kept = OrderedDict()
 
 
 def _combos(g, max_events, bare):

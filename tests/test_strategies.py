@@ -1,5 +1,8 @@
 """Strategy validation, visible parts, stopping data, and 2-cells."""
 
+import gc
+import weakref
+
 import pytest
 
 from esgames import fixtures as fx
@@ -497,3 +500,20 @@ def test_a_two_cell_that_drops_a_cause_is_not_rigid():
     assert [(type(d), d.data)
             for d in validate_two_cell(f, waits, eager, kind="rigid_epi")] \
         == [(NotRigid, {})]
+
+
+def test_strategies_over_equal_games_share_one_target_while_one_holds_it():
+    def built(name):
+        # a game no other test plays, built anew under each name
+        g = game(event_structure(["shared"]), {"shared": PLUS}, name=name)
+        src = Polarised(event_structure(["s"]), {"s": PLUS})
+        return in_game_strategy(src, g, {"s": "shared"}, name=name)
+
+    one, two = built("one"), built("two")
+    assert one.B == two.B and one.B is not two.B
+    assert one.target is two.target
+    assert one.sigma.dst is one.target.es and two.sigma.dst is two.target.es
+    target = weakref.ref(one.target)
+    del one, two
+    gc.collect()
+    assert target() is None

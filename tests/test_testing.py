@@ -1,14 +1,18 @@
 """Traces, may/must verdicts, preorders, and separating-test synthesis."""
 
+import gc
 import random
+import weakref
+from collections import OrderedDict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esgames import fixtures as fx
-from esgames.errors import GameMismatch, NotAGap, SizeBoundExceeded
-from esgames.games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
+from esgames import testing
+from esgames.errors import BadArgument, GameMismatch, NotAGap, SizeBoundExceeded
+from esgames.games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game
 from esgames.interaction import compose_stopping
 from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.randgen import random_game, random_in_game_strategy, random_stopping
@@ -476,6 +480,89 @@ def test_enumeration_is_keyed_on_budget_and_kind():
     assert len(enumerate_tests(g, max_events=3)) > len(plain)
     assert len(enumerate_tests(g, max_events=2, bare=True)) > len(plain)
     assert enumerate_tests(g, max_events=2) == plain
+
+
+def test_the_budget_is_a_count_on_a_cold_and_on_a_warm_table():
+    g = game(event_structure(["budget"]), {"budget": MINUS})  # no other test's
+    bad = [2.0, 1.0, -3, True, False, "2", None]
+
+    def rejected():
+        for b in bad:
+            with pytest.raises(BadArgument) as err:
+                enumerate_tests(g, b)
+            assert err.value.data["max_events"] is b
+
+    rejected()  # nothing is kept for g yet
+    assert [len(enumerate_tests(g, n)) for n in (0, 1, 2)] == [1, 3, 7]
+    rejected()  # 2.0 and True would hit the kept budgets 2 and 1
+
+
+def counting_builds(monkeypatch):
+    """Record the combo of every _skeletons call from now on: each
+    enumeration that is built, not read from the table, makes them."""
+    combos = []
+    original = testing._skeletons
+
+    def counted(g, pol, combo, limits):
+        combos.append(combo)
+        return original(g, pol, combo, limits)
+
+    monkeypatch.setattr(testing, "_skeletons", counted)
+    return combos
+
+
+def one_move_games(prefix, count):
+    """count one-move games, Opponent and Player in turn, over moves named
+    after prefix so that no other test enumerates them."""
+    return [game(event_structure([f"{prefix}{i}"]),
+                 {f"{prefix}{i}": (MINUS, PLUS)[i % 2]})
+            for i in range(count)]
+
+
+def test_a_working_set_of_ten_enumerations_is_built_once(monkeypatch):
+    # more enumerations than the eight an lru_cache(maxsize=8) kept, and
+    # far fewer tests than the table holds
+    games = one_move_games("ws", 10)
+    built = counting_builds(monkeypatch)
+    first = [enumerate_tests(g, 3, bare=bare)
+             for g in games for bare in (False, True)]
+    assert built
+    built.clear()
+    second = [enumerate_tests(g, 3, bare=bare)
+              for g in games for bare in (False, True)]
+    assert built == []
+    assert all(a == b and a is not b for a, b in zip(first, second))
+
+
+def test_the_least_recently_used_enumeration_goes_first(monkeypatch):
+    monkeypatch.setattr(testing, "_kept", OrderedDict())
+    a, b, c, d = one_move_games("lru", 4)
+    na, nb, nc = (len(enumerate_tests(g, 2)) for g in (a, b, c))
+    assert [k[0] for k in testing._kept] == [a, b, c]
+    enumerate_tests(a, 2)  # a is now the most recently used
+    # a and c are Opponent moves, b and d Player moves: d's tests fit
+    # once b's and c's, the two least recently used, are dropped
+    monkeypatch.setattr(testing, "_KEPT_TESTS", na + nb)
+    assert len(enumerate_tests(d, 2)) == nb and nc == na
+    assert [k[0] for k in testing._kept] == [a, d]
+    monkeypatch.setattr(testing, "_KEPT_TESTS", 1)
+    assert len(enumerate_tests(b, 2)) > 1  # over the bound alone, and kept
+    assert [k[0] for k in testing._kept] == [b]
+    built = counting_builds(monkeypatch)
+    enumerate_tests(b, 2)
+    assert built == []
+
+
+def test_tests_of_one_combo_share_one_target_while_one_holds_it():
+    g = game(event_structure(["shared"]), {"shared": PLUS})
+    combo = (("g", "shared"), ("t", None))
+    t1, t2 = testing._skeletons(g, dual(g).pol, combo, DEFAULT_LIMITS)
+    assert t1.target is t2.target
+    assert t1.sigma.dst is t1.target.es and t2.sigma.dst is t2.target.es
+    target = weakref.ref(t1.target)
+    del t1, t2
+    gc.collect()
+    assert target() is None
 
 
 def test_synthesis_refuses_a_trace_the_order_allows():
