@@ -1,8 +1,10 @@
 """Pinned esg output on the shipped fixtures.
 
 Every command runs on every definition, and every two-name command on every
-ordered pair of definitions, of each fixture, with and without
---max-configs 2. tests/golden/esg_fixtures.txt holds one line per command:
+ordered pair of definitions, of each fixture, with no cap, with
+--max-configs 2 (below what either fixture needs to parse) and with
+--max-configs 6 (the least cap at which both parse, so engine commands run
+under a user cap). tests/golden/esg_fixtures.txt holds one line per command:
 its argv, exit code and short SHA-256 digests of stdout and stderr. A change
 that keeps the printed bytes keeps this file.
 
@@ -31,7 +33,7 @@ TWO_NAMES = ("par", "compose", "interact", "may", "must", "may-preorder",
 def commands():
     """The argv of every pinned command, paths relative to the repo root."""
     out = []
-    for caps in ((), ("--max-configs", "2")):
+    for caps in ((), ("--max-configs", "2"), ("--max-configs", "6")):
         for path in FIXTURES:
             names = [d.name for d in parse_file(ROOT / path)]
             head = ["-f", path, *caps]
