@@ -444,22 +444,22 @@ def _binary_family(es):
     return es.minimal_conflicts()
 
 
-def _print_body(out, pg, names, indent="  "):
+def _print_body(out, pg, names):
     es = pg.es
     for e in sortedevents(es.events):
         sym = {PLUS: "+", MINUS: "-", NEUTRAL: "0"}[pg.pol[e]]
-        out.append(f"{indent}event {names[e]} {sym};")
+        out.append(f"  event {names[e]} {sym};")
     for (c, e) in sorted(es.immediate_pairs(),
                          key=lambda p: (ekey(p[0]), ekey(p[1]))):
-        out.append(f"{indent}cause {names[c]} < {names[e]};")
+        out.append(f"  cause {names[c]} < {names[e]};")
     pairs = _binary_family(es)
     if pairs is not None:
         for (a, b) in pairs:
-            out.append(f"{indent}conflict {names[a]} ~ {names[b]};")
+            out.append(f"  conflict {names[a]} ~ {names[b]};")
     else:
         for m in es.maxcons:
             inner = " ".join(names[e] for e in sortedevents(m))
-            out.append(f"{indent}consistent {{ {inner} }};")
+            out.append(f"  consistent {{ {inner} }};")
 
 
 def print_workspace(ws):

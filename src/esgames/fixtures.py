@@ -119,9 +119,10 @@ def double_press_c():
                             name="double-press-c")
 
 
-def idle(g, name="idle"):
+def idle(g):
     """The empty-source strategy in g; valid only when g has no Opponent move."""
-    return in_game_strategy(Polarised(event_structure([]), {}), g, {}, name=name)
+    return in_game_strategy(Polarised(event_structure([]), {}), g, {},
+                            name="idle")
 
 
 # ---- the single-move bare trio -----------------------------------------------------

@@ -95,15 +95,14 @@ def success_game():
     return game(event_structure([TICK]), {TICK: PLUS}, name="success")
 
 
-def dual(pg, name=""):
+def dual(pg):
     flip = {PLUS: MINUS, MINUS: PLUS, NEUTRAL: NEUTRAL}
     return Polarised(pg.es, {e: flip[p] for e, p in pg.pol.items()},
-                     name=name or (pg.name and f"dual({pg.name})"))
+                     name=pg.name and f"dual({pg.name})")
 
 
-def neutralise(pg, name=""):
-    return Polarised(pg.es, {e: NEUTRAL for e in pg.es.events},
-                     name=name or pg.name)
+def neutralise(pg):
+    return Polarised(pg.es, {e: NEUTRAL for e in pg.es.events}, name=pg.name)
 
 
 def component(te):
@@ -125,8 +124,6 @@ def parallel(*parts, name=""):
     Nesting is preserved: parallel(A, parallel(B, C)) differs from
     parallel(A, B, C).
     """
-    if len(parts) == 1 and isinstance(parts[0], (list, tuple)):
-        parts = tuple(parts[0])
     if not parts:
         raise BadArgument("parallel needs at least one component")
     below = {}
@@ -172,8 +169,8 @@ def is_plus_maximal(pg, x):
     return not any(pg.pol[e] in (PLUS, NEUTRAL) for e in pg.es.extensions(x))
 
 
-def plus_maximal_configs(pg, limits=DEFAULT_LIMITS):
-    return [x for x in pg.es.configurations(limits) if is_plus_maximal(pg, x)]
+def plus_maximal_configs(pg):
+    return [x for x in pg.es.configurations() if is_plus_maximal(pg, x)]
 
 
 # ---- races and determinism ------------------------------------------------------
@@ -190,10 +187,10 @@ def is_race_free(pg, limits=DEFAULT_LIMITS):
     return _first_clash(pg, (MINUS,), limits)
 
 
-def is_deterministic(pg, limits=DEFAULT_LIMITS):
+def is_deterministic(pg):
     """True iff a Player-or-neutral extension is compatible with every other
     extension. Same single-event reduction as is_race_free."""
-    return _first_clash(pg, POLARITIES, limits)
+    return _first_clash(pg, POLARITIES, DEFAULT_LIMITS)
 
 
 def _first_clash(pg, rivals, limits):
@@ -214,7 +211,7 @@ def _first_clash(pg, rivals, limits):
 # ---- copycat ---------------------------------------------------------------------
 
 
-def copycat(A, name=""):
+def copycat(A):
     """The copycat structure over a game A, with its map into dual(A) ∥ A.
 
     Order: both component orders plus, for every Player event c of the
@@ -245,7 +242,7 @@ def copycat(A, name=""):
             maxcons.add(frozenset(e for e in u0 if below[e] <= u0))
 
     cc_es = EventStructure(target.es.ordered, below, maximal_sets(maxcons),
-                           name=name or (A.name and f"cc({A.name})"))
+                           name=A.name and f"cc({A.name})")
     cc = Polarised(cc_es, dict(target.pol), name=cc_es.name)
     ccmap = ESMap(cc_es, target.es, {e: e for e in cc_es.events})
     return cc, ccmap

@@ -28,7 +28,6 @@ from .errors import (
     MapNotTotal,
     MiddleGameMismatch,
     NotRaceFree,
-    SizeBoundExceeded,
 )
 from .games import (
     NEUTRAL,
@@ -40,7 +39,7 @@ from .games import (
     parallel,
     payload,
 )
-from .limits import DEFAULT_LIMITS
+from .limits import DEFAULT_LIMITS, over_cap
 from .strategies import BareStrategy, StoppingStrategy, visible_part
 from .structures import (ESMap, EventStructure, ekey, reflexive_closures,
                          sortedevents)
@@ -170,9 +169,7 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
     the map from each of its pairs to the pairs of the prime that pair tops.
     """
     if limits.max_configs < 1:  # the empty bijection counts as one
-        raise SizeBoundExceeded(
-            f"more than {limits.max_configs} secured bijections",
-            cap=limits.max_configs)
+        raise over_cap(limits.max_configs, "secured bijections")
     lbit, ltab, lfull = _side_tables(left_es)
     rbit, rtab, rfull = _side_tables(right_es)
     by_img_right = {}
@@ -211,9 +208,8 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
                         continue
                     seen.add(th2)
                     if len(seen) > limits.max_configs:
-                        raise SizeBoundExceeded(
-                            f"more than {limits.max_configs} secured bijections",
-                            cap=limits.max_configs)
+                        raise over_cap(limits.max_configs,
+                                       "secured bijections")
                     pr = {(l, r)}
                     for q, qpr in pmap.items():
                         if lbit[q[0]] & lcauses or rbit[q[1]] & rcauses:
@@ -221,9 +217,8 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
                     pr = frozenset(pr)
                     prime_registry.setdefault(pr, (l, r))
                     if len(prime_registry) > limits.max_primes:
-                        raise SizeBoundExceeded(
-                            f"more than {limits.max_primes} interaction events",
-                            cap=limits.max_primes)
+                        raise over_cap(limits.max_primes,
+                                       "interaction events")
                     prime_map[th2] = {**pmap, (l, r): pr}
                     nxt.append((th2, lefts | lb, rights | rb, lm, rm))
             if not grown:
@@ -264,12 +259,12 @@ def pullback(f, g, limits=DEFAULT_LIMITS):
     return es, pi1, pi2
 
 
-def enumerate_secured_bijections(f, g, limits=DEFAULT_LIMITS):
+def enumerate_secured_bijections(f, g):
     """All secured bijections of the two total maps into one target, as pair
     sets."""
     _check_maps(f, g)
     _, prime_map = _enumerate_pullback(f.src, dict(f.mapping), g.src,
-                                       dict(g.mapping), limits)
+                                       dict(g.mapping), DEFAULT_LIMITS)
     return sorted(prime_map, key=lambda th: (len(th),
                                              sorted(map(pairkey, th))))
 
@@ -329,7 +324,7 @@ class Interaction(BareStrategy):
         return {th: _primes(pm) for th, pm in self._prime_map.items()}
 
 
-def interact(sigma, tau, limits=DEFAULT_LIMITS, name=""):
+def interact(sigma, tau, limits=DEFAULT_LIMITS):
     """The bare strategy tau after sigma, internal events kept.
 
     sigma goes from A to B, tau from B to C; the result goes from A to C with
@@ -354,17 +349,17 @@ def interact(sigma, tau, limits=DEFAULT_LIMITS, name=""):
         else:
             pol[p] = NEUTRAL
 
-    source = Polarised(es, pol, name=name or "interaction")
+    source = Polarised(es, pol, name="interaction")
     middle = parallel(sigma.N, neutralise(sigma.B), tau.N)
     return Interaction(source, sigma.A, middle, tau.B, assign, prime_map,
-                       name=name or f"({tau.name} * {sigma.name})")
+                       name=f"({tau.name} * {sigma.name})")
 
 
-def compose(sigma, tau, limits=DEFAULT_LIMITS, name=""):
+def compose(sigma, tau, limits=DEFAULT_LIMITS):
     """Composition with hiding: the visible part of the interaction."""
     inter = interact(sigma, tau, limits)
     vis, _, _ = visible_part(inter)
-    vis.name = name or f"({tau.name} . {sigma.name})"
+    vis.name = f"({tau.name} . {sigma.name})"
     return vis
 
 
@@ -440,18 +435,19 @@ def pair_configs(sigma, tau, x, y, padding=None):
 # ---- stopping liftings -------------------------------------------------------------
 
 
-def _assert_race_free(*gs):
+def _assert_race_free(limits, *gs):
     for g in gs:
-        ok, wit = is_race_free(g)
+        ok, wit = is_race_free(g, limits)
         if not ok:
             raise NotRaceFree(f"game {g.name or '?'} has a race",
                               game=g, witness=wit)
 
 
-def _stopping_pairings(s, t):
+def _stopping_pairings(s, t, limits):
     """pair_configs of every stopping x of s and stopping y of t that meet on
-    the middle game; only pairs with equal images on it are tried."""
-    _assert_race_free(s.strat.A, s.strat.B, t.strat.B)
+    the middle game; only pairs with equal images on it are tried. The three
+    games are checked for races under the caller's cap."""
+    _assert_race_free(limits, s.strat.A, s.strat.B, t.strat.B)
     by_image = s.stopping_by_image()
     for y in t.sorted_stopping():
         for x in by_image.get(t.strat.image_on(1, y), ()):
@@ -462,15 +458,14 @@ def _stopping_pairings(s, t):
 
 def interact_stopping(s, t, limits=DEFAULT_LIMITS):
     """Interaction of stopping strategies: pair the stopping sets."""
-    stopping = {got[0] for got in _stopping_pairings(s, t)}
+    stopping = {got[0] for got in _stopping_pairings(s, t, limits)}
     return StoppingStrategy(interact(s.strat, t.strat, limits), stopping)
 
 
-def compose_stopping(s, t, limits=DEFAULT_LIMITS, name=""):
+def compose_stopping(s, t, limits=DEFAULT_LIMITS):
     """Composition of stopping strategies: hide, pairing the stopping sets."""
-    stopping = {got[1] for got in _stopping_pairings(s, t)}
-    comp = compose(s.strat, t.strat, limits, name=name)
-    return StoppingStrategy(comp, stopping, name=name or comp.name)
+    stopping = {got[1] for got in _stopping_pairings(s, t, limits)}
+    return StoppingStrategy(compose(s.strat, t.strat, limits), stopping)
 
 
 # ---- 2-cells across interaction ------------------------------------------------------

@@ -9,7 +9,6 @@ sorted events throughout, so a seed pins the output exactly.
 from .errors import InvalidStructure
 from .games import (EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game,
                     is_race_free, parallel)
-from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, bare_strategy, strategy
 from .structures import ekey, event_structure
 
@@ -115,25 +114,25 @@ def _fallback_source(tpol, torder, tclashes):
             {e: e for e in events})
 
 
-def random_strategy(rng, A, B, limits=DEFAULT_LIMITS):
+def random_strategy(rng, A, B):
     """A valid strategy from A to B (neutral-free source)."""
     return _draw(rng, A, EMPTY, B, lambda src, assign: strategy(
-        src, A, B, assign, limits=limits))
+        src, A, B, assign))
 
 
-def random_in_game_strategy(rng, g, limits=DEFAULT_LIMITS):
-    return random_strategy(rng, EMPTY, g, limits)
+def random_in_game_strategy(rng, g):
+    return random_strategy(rng, EMPTY, g)
 
 
-def random_bare(rng, A, B, max_neutrals=2, limits=DEFAULT_LIMITS,
-                min_neutrals=0):
-    """A valid bare strategy from A to B with a small neutral middle."""
-    k = rng.randint(min_neutrals, max_neutrals)
+def random_bare(rng, A, B, min_neutrals=0):
+    """A valid bare strategy from A to B with a middle of up to two neutral
+    events."""
+    k = rng.randint(min_neutrals, 2)
     middle_events = [f"n{i}" for i in range(k)]
     middle = Polarised(event_structure(middle_events),
                        {m: NEUTRAL for m in middle_events})
     return _draw(rng, A, middle, B, lambda src, assign: bare_strategy(
-        src, A, middle, B, assign, limits=limits))
+        src, A, middle, B, assign))
 
 
 def _draw(rng, A, middle, B, build):
@@ -151,11 +150,11 @@ def _draw(rng, A, middle, B, build):
     return build(*_fallback_source(tpol, torder, tclashes))
 
 
-def random_stopping(rng, st, limits=DEFAULT_LIMITS):
+def random_stopping(rng, st):
     """Random stopping data over a strategy: biased to +-maximal configs."""
     from .games import is_plus_maximal
 
-    configs = st.configurations(limits)
+    configs = st.configurations()
     stopping = set()
     for x in configs:
         p = 0.7 if is_plus_maximal(st.source, x) else 0.15

@@ -135,7 +135,7 @@ class LintFinding(namedtuple("LintFinding", "code config")):
         return f"<{tag} {self.code}: {sorted(self.config, key=ekey)}>"
 
 
-def lint_stopping(st, limits=DEFAULT_LIMITS):
+def lint_stopping(st):
     """Report which optional stopping-set laws a stopping strategy breaks.
 
     Nothing here is enforced anywhere else: stopping sets only promise to be
@@ -147,7 +147,7 @@ def lint_stopping(st, limits=DEFAULT_LIMITS):
     inclusion between stopping and +-maximal survives transport.
     """
     src = st.strat.source
-    configs = st.strat.configurations(limits)
+    configs = st.strat.configurations()
     findings = []
     for x in configs:
         if not any(x <= y for y in st.stopping):

@@ -39,7 +39,7 @@ from .games import (
     parallel,
     plus_subset,
 )
-from .limits import DEFAULT_LIMITS
+from .limits import DEFAULT_LIMITS, over_cap
 from .structures import ESMap, cfgkey, sortedevents, validate_map
 
 # (A, N, B) -> dual(A) || N || B, one target per value of the three games,
@@ -95,9 +95,12 @@ class BareStrategy:
 
     def configurations(self, limits=DEFAULT_LIMITS):
         """Source configurations, smallest first, as a tuple; derived once
-        per strategy, and again under a cap below their number, to raise."""
-        if self._configs is None or len(self._configs) > limits.max_configs:
+        per strategy. A later cap below their number raises from the kept
+        count."""
+        if self._configs is None:
             self._configs = tuple(self.source.configurations(limits))
+        elif len(self._configs) > limits.max_configs:
+            raise over_cap(limits.max_configs, "configurations")
         return self._configs
 
     def configurations_by_image(self, limits=DEFAULT_LIMITS):
@@ -139,10 +142,10 @@ def strategy(source, game_a, game_b, assign, name="", limits=DEFAULT_LIMITS):
                          limits=limits)
 
 
-def in_game_strategy(source, g, assign, name="", limits=DEFAULT_LIMITS):
+def in_game_strategy(source, g, assign, name=""):
     """A strategy in a single game: from the empty game into g."""
     return strategy(source, EMPTY, g, {s: (3, v) for s, v in assign.items()},
-                    name=name, limits=limits)
+                    name=name)
 
 
 def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
@@ -316,14 +319,14 @@ def saturate_stopping(st, limits=DEFAULT_LIMITS):
                             name=f"sat({st.name})" if st.name else "")
 
 
-def copycat_strategy(A, name=""):
+def copycat_strategy(A):
     """Copycat as a strategy from A to A; valid by construction, so unchecked."""
     cc, _ = copycat(A)
     assign = {}
     for (i, a) in cc.events:
         assign[(i, a)] = (1, a) if i == 1 else (3, a)
     return BareStrategy(cc, A, EMPTY, A, assign,
-                        name=name or (A.name and f"cc({A.name})"))
+                        name=A.name and f"cc({A.name})")
 
 
 # ---- 2-cells -------------------------------------------------------------------
@@ -339,7 +342,7 @@ def same_signature(s1, s2):
     return b1.A == b2.A and b1.N == b2.N and b1.B == b2.B
 
 
-def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
+def validate_two_cell(f, src, dst, kind="plain"):
     """Check a map between strategy sources as a 2-cell of the given kind.
 
     kind: plain | stopping | plus_reflecting | rigid_epi. Returns diagnostics.
@@ -363,8 +366,8 @@ def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
         return diags
 
     # a dict is a map from bsrc's own source, whose configurations it keeps
-    configs = bsrc.configurations(limits) if f.src is bsrc.source.es else None
-    rep = validate_map(f, limits, configs=configs)
+    configs = bsrc.configurations() if f.src is bsrc.source.es else None
+    rep = validate_map(f, configs=configs)
     diags.extend(rep.diagnostics)
     for s in sortedevents(bsrc.source.events):
         if bsrc.source.pol[s] != bdst.source.pol[f.mapping[s]]:
@@ -384,8 +387,8 @@ def validate_two_cell(f, src, dst, kind="plain", limits=DEFAULT_LIMITS):
                     f"image of stopping {sortedevents(x)} is not stopping",
                     x=x, image=f.image(x)))
     elif kind == "plus_reflecting":
-        src_configs = bsrc.configurations(limits)
-        dst_configs = bdst.configurations(limits)
+        src_configs = bsrc.configurations()
+        dst_configs = bdst.configurations()
         for x in src_configs:
             fx = f.image(x)
             for y in dst_configs:

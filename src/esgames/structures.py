@@ -26,10 +26,9 @@ from .errors import (
     InvalidStructure,
     LocalInjectivityViolation,
     SearchBudgetExceeded,
-    SizeBoundExceeded,
     UnknownEvent,
 )
-from .limits import DEFAULT_LIMITS
+from .limits import DEFAULT_LIMITS, over_cap
 
 
 def ekey(e):
@@ -176,9 +175,7 @@ class EventStructure:
     def configurations(self, limits=DEFAULT_LIMITS):
         """All configurations, smallest first, deterministic order."""
         if limits.max_configs < 1:  # the empty configuration counts as one
-            raise SizeBoundExceeded(
-                f"more than {limits.max_configs} configurations",
-                cap=limits.max_configs)
+            raise over_cap(limits.max_configs, "configurations")
         seen = {frozenset()}
         frontier = [frozenset()]
         while frontier:
@@ -189,9 +186,8 @@ class EventStructure:
                     if y not in seen:
                         seen.add(y)
                         if len(seen) > limits.max_configs:
-                            raise SizeBoundExceeded(
-                                f"more than {limits.max_configs} configurations",
-                                cap=limits.max_configs)
+                            raise over_cap(limits.max_configs,
+                                           "configurations")
                         nxt.append(y)
             frontier = nxt
         return sorted(seen, key=self.config_key)

@@ -10,11 +10,11 @@ from itertools import (chain, combinations, combinations_with_replacement,
                        groupby, permutations, product)
 
 from .errors import (BadArgument, Cycle, GameMismatch, InvalidStructure,
-                     NotAGap, SizeBoundExceeded)
+                     NotAGap)
 from .games import (MINUS, NEUTRAL, PLUS, TICK, Polarised, component, dual,
                     payload, success_game)
 from .interaction import glue
-from .limits import DEFAULT_LIMITS
+from .limits import DEFAULT_LIMITS, over_cap
 from .strategies import StoppingStrategy, bare_strategy, stop_of, strategy
 from .structures import (EventStructure, ekey, event_structure,
                          inherited_conflicts, maximal_consistent_sets,
@@ -67,9 +67,8 @@ def traces_of(sigma, x, limits=DEFAULT_LIMITS):
     for tr in _linearisations(sigma, x):
         out.add(tr)
         if len(out) > limits.max_configs:
-            raise SizeBoundExceeded(
-                f"more than {limits.max_configs} traces of one configuration",
-                cap=limits.max_configs)
+            raise over_cap(limits.max_configs,
+                           "traces of one configuration")
     return frozenset(out)
 
 
@@ -80,9 +79,7 @@ def _trace_index(sigma, configs, limits):
         for tr in traces_of(sigma, x, limits):
             index.setdefault(tr, x)
         if len(index) > limits.max_configs:
-            raise SizeBoundExceeded(
-                f"more than {limits.max_configs} distinct traces",
-                cap=limits.max_configs)
+            raise over_cap(limits.max_configs, "distinct traces")
     return index
 
 
@@ -389,7 +386,7 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
 # ---- bounded exhaustive test enumeration ----------------------------------------------
 
 
-def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
+def enumerate_tests(g, max_events=4, bare=False):
     """Every valid test over g with at most max_events source events, one
     per isomorphism class.
 
@@ -400,7 +397,7 @@ def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
 
     The list is new on every call, but the tests in it are shared between
     calls on equal games. Enumerations are kept, keyed on the game's value,
-    max_events, bare and limits; together they hold at most _KEPT_TESTS
+    max_events and bare; together they hold at most _KEPT_TESTS
     tests, the least recently used is dropped first, and the newest always
     stays. A test's game test.A is therefore equal to g but may be another
     object, under another name, since names are not part of a game's value.
@@ -412,13 +409,13 @@ def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
             or max_events < 0:
         raise BadArgument(f"max_events must be an int of at least 0, not"
                           f" {max_events!r}", max_events=max_events)
-    key = g, max_events, bare, limits
+    key = g, max_events, bare
     found = _kept.get(key)
     if found is None:
         pol = dual(g).pol
         found = _kept[key] = tuple(
             t for combo in _combos(g, max_events, bare)
-            for t in _skeletons(g, pol, combo, limits))
+            for t in _skeletons(g, pol, combo))
         held = sum(map(len, _kept.values()))
         while held > _KEPT_TESTS and len(_kept) > 1:
             held -= len(_kept.popitem(last=False)[1])
@@ -430,7 +427,7 @@ def enumerate_tests(g, max_events=4, bare=False, limits=DEFAULT_LIMITS):
 # The tests the kept enumerations may hold together: eight budget-4 bare
 # enumerations over a one-move Opponent game, of 824 tests each.
 _KEPT_TESTS = 8 * 824
-# (game, max_events, bare, limits) -> tests, least recently used first
+# (game, max_events, bare) -> tests, least recently used first
 _kept = OrderedDict()
 
 
@@ -514,7 +511,7 @@ def _pair_bits(pairs, p, n):
     return bits
 
 
-def _skeletons(g, pol, combo, limits):
+def _skeletons(g, pol, combo):
     """The valid tests over combo, one per isomorphism class.
 
     A candidate is fixed by its strict order and its conflicts closed
@@ -546,8 +543,7 @@ def _skeletons(g, pol, combo, limits):
             seen.add(key)
             try:
                 yield bare_strategy(Polarised(_structure(n, below, closed), pols),
-                                    g, middle, success_game(), assign,
-                                    limits=limits)
+                                    g, middle, success_game(), assign)
             except InvalidStructure:
                 continue
 

@@ -222,5 +222,3 @@ def test_copycat_configurations_match_scott_order():
 def test_parallel_of_nothing_is_refused():
     with pytest.raises(BadArgument):
         parallel()
-    with pytest.raises(BadArgument):
-        parallel([])

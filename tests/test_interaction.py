@@ -24,6 +24,7 @@ from esgames.interaction import (
     interact,
     interact_stopping,
     pair_configs,
+    prime_pairs,
     prime_top,
     pullback,
     secured_bijection,
@@ -385,3 +386,53 @@ def test_pullback_counts_the_empty_bijection_against_its_cap():
     with pytest.raises(SizeBoundExceeded) as err:
         pullback(ident, ident, EngineLimits(max_configs=0))
     assert err.value.data == {"cap": 0}
+
+
+def test_the_stopping_liftings_check_races_under_the_callers_cap():
+    # sigma plays nothing in B; tau answers either move of B. Their
+    # interaction has one secured bijection, but B has four configurations,
+    # and the race check reads them all
+    b = game(event_structure(["p", "q"]), {"p": PLUS, "q": PLUS}, name="b")
+    sigma = strategy(Polarised(event_structure([]), {}), EMPTY, b, {})
+    src = Polarised(event_structure(["p", "q"]), {"p": MINUS, "q": MINUS})
+    tau = strategy(src, b, EMPTY, {"p": (1, "p"), "q": (1, "q")})
+    s, t = stop_of(sigma), stop_of(tau)
+    for lift in (compose_stopping, interact_stopping):
+        with pytest.raises(SizeBoundExceeded) as err:
+            lift(s, t, EngineLimits(max_configs=1))
+        assert err.value.data == {"cap": 1}
+        assert lift(s, t, EngineLimits(max_configs=4)).stopping == fs(fs())
+
+
+def copycat_square(g):
+    cc = copycat_strategy(g)
+    return interact(cc, cc)
+
+
+def assert_primes_of_are_the_configurations(inter):
+    es = inter.source.es
+    for th, x in inter.primes_of.items():
+        assert es.is_configuration(x)
+        assert frozenset().union(*map(prime_pairs, x)) == th
+    assert set(inter.primes_of.values()) == set(es.configurations())
+    assert len(inter.primes_of) == len(es.configurations())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_primes_of_a_copycat_square_on_concurrent_moves(n):
+    # each move is absent or reached in one of three stages
+    names = [f"c{i}" for i in range(n)]
+    inter = copycat_square(game(event_structure(names),
+                                {e: PLUS for e in names}))
+    assert len(inter.primes_of) == 4 ** n
+    assert_primes_of_are_the_configurations(inter)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_primes_of_a_copycat_square_on_a_chain(m):
+    names = [f"k{i}" for i in range(m)]
+    g = game(event_structure(names, causes=list(zip(names, names[1:]))),
+             {e: (PLUS, MINUS)[i % 2] for i, e in enumerate(names)})
+    inter = copycat_square(g)
+    assert len(inter.primes_of) == 3 * m + 1
+    assert_primes_of_are_the_configurations(inter)

@@ -448,6 +448,27 @@ def test_strategy_level_reads_do_not_enumerate_the_source_again(monkeypatch):
     assert [es for es in calls if es is subject.source.es] == []
 
 
+def test_a_smaller_cap_on_a_later_read_raises_without_enumerating(
+        monkeypatch):
+    calls = []
+    original = EventStructure.configurations
+
+    def counted(self, limits=DEFAULT_LIMITS):
+        calls.append(self)
+        return original(self, limits)
+
+    subject = in_game_strategy(
+        Polarised(event_structure(["r1", "r2"]), {"r1": PLUS, "r2": PLUS}),
+        fx.buttons(), {"r1": "b1", "r2": "b2"})
+    n = len(subject.configurations())
+    monkeypatch.setattr(EventStructure, "configurations", counted)
+    with pytest.raises(SizeBoundExceeded) as e:
+        subject.configurations(EngineLimits(max_configs=n - 1))
+    assert e.value.data == {"cap": n - 1}
+    assert str(e.value) == f"more than {n - 1} configurations"
+    assert calls == []
+
+
 def test_bare_strategy_needs_a_neutral_middle_and_a_total_assignment():
     g = fx.one_shot()
     src = Polarised(event_structure(["s"]), {"s": PLUS})

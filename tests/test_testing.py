@@ -503,9 +503,9 @@ def counting_builds(monkeypatch):
     combos = []
     original = testing._skeletons
 
-    def counted(g, pol, combo, limits):
+    def counted(g, pol, combo):
         combos.append(combo)
-        return original(g, pol, combo, limits)
+        return original(g, pol, combo)
 
     monkeypatch.setattr(testing, "_skeletons", counted)
     return combos
@@ -556,7 +556,7 @@ def test_the_least_recently_used_enumeration_goes_first(monkeypatch):
 def test_tests_of_one_combo_share_one_target_while_one_holds_it():
     g = game(event_structure(["shared"]), {"shared": PLUS})
     combo = (("g", "shared"), ("t", None))
-    t1, t2 = testing._skeletons(g, dual(g).pol, combo, DEFAULT_LIMITS)
+    t1, t2 = testing._skeletons(g, dual(g).pol, combo)
     assert t1.target is t2.target
     assert t1.sigma.dst is t1.target.es and t2.sigma.dst is t2.target.es
     target = weakref.ref(t1.target)
