@@ -8,6 +8,12 @@ equal images such that the relation generated by both source orders through
 the matching is acyclic. Configurations of the pullback correspond exactly to
 secured bijections; the correspondence is checked by the tests.
 
+The enumeration works on integers: the candidate pairs are numbered once, a
+secured bijection is the int of its pairs' bits and a prime the int of its
+own. Only the primes are decoded, into events ("pr", pairs, top); an
+interaction's bijections are read as pair sets, each with its primes, on
+demand.
+
 Interaction pads the two strategies first: sigma: S -> dual(A) || M || B meets
 tau: T -> dual(B) || N || C over the flat five component ambient
 A || M || B || N || C, with S || N || C on the left against A || M || T on the
@@ -138,15 +144,10 @@ def prime_top(p):
     return p[2]
 
 
-def _primes(pmap):
-    """The primes of one secured bijection, from its pair -> prime pairs map."""
-    return frozenset(prime_event(pr, top) for top, pr in pmap.items())
-
-
 def _side_tables(es):
-    """Each event's bit; for each event, its bit, the bits of its strict
-    causes and its membership mask, whose bit i is set when the event lies in
-    es.maxcons[i]; and the mask of the empty set, with every bit set."""
+    """For each event, its bit, the bits of its strict causes and its
+    membership mask, whose bit i is set when the event lies in es.maxcons[i];
+    and the mask of the empty set, with every bit set."""
     bit = {e: 1 << i for i, e in enumerate(es.ordered)}
     mask = dict.fromkeys(es.events, 0)
     for i, m in enumerate(es.maxcons):
@@ -154,7 +155,30 @@ def _side_tables(es):
             mask[e] |= 1 << i
     tables = {e: (b, sum(map(bit.__getitem__, es.below(e))) - b, mask[e])
               for e, b in bit.items()}
-    return bit, tables, (1 << len(es.maxcons)) - 1
+    return tables, (1 << len(es.maxcons)) - 1
+
+
+class _BijectionTable:
+    """The secured bijections one pullback enumerated, each kept as an int
+    whose bit k is set when it holds pairs[k]; read as pair sets and primes
+    only on demand."""
+
+    def __init__(self, pairs, bijections):
+        self.pairs = pairs            # bit position -> (left, right) pair
+        self.bijections = bijections  # set of ints
+        self.primes = []              # (prime event, its pair bits), in order
+
+    def __len__(self):
+        return len(self.bijections)
+
+    def pair_set(self, bits):
+        return frozenset(p for k, p in enumerate(self.pairs) if bits >> k & 1)
+
+    def primes_in(self, bits):
+        """The primes of a secured bijection: those whose pairs it holds.
+        A prime inside it is the down-closure there of its top pair, since
+        the bijection matches each of that prime's causes only once."""
+        return frozenset(e for e, b in self.primes if not b & ~bits)
 
 
 def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
@@ -162,64 +186,77 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
 
     A new pair joins above everything present, so securedness is preserved;
     every secured bijection arises along a linearisation of its own order.
-    Each frontier entry carries, per side, its set of events as bits and the
-    AND of its members' masks: a set is consistent exactly when that AND is
-    non-zero, so enabling a pair costs a few integer operations.
-    Returns the pullback's event structure and, for each secured bijection,
-    the map from each of its pairs to the pairs of the prime that pair tops.
+    Candidate pairs are numbered once, and a bijection is the int of its
+    pairs' bits. Each frontier entry carries, per side, its set of events as
+    bits and the AND of its members' masks: a set is consistent exactly when
+    that AND is non-zero, so enabling a pair costs a few integer operations.
+    The prime a new pair tops is the closure of its bit under the pairs that
+    hold a strict cause of either of its events.
+    Returns the pullback's event structure and its _BijectionTable.
     """
     if limits.max_configs < 1:  # the empty bijection counts as one
         raise over_cap(limits.max_configs, "secured bijections")
-    lbit, ltab, lfull = _side_tables(left_es)
-    rbit, rtab, rfull = _side_tables(right_es)
+    ltab, lfull = _side_tables(left_es)
+    rtab, rfull = _side_tables(right_es)
     by_img_right = {}
     for r, u in rmap.items():
-        by_img_right.setdefault(u, []).append((r, *rtab[r]))
-    partners = [(l, *ltab[l], rs) for l in left_es.ordered
-                if (rs := by_img_right.get(lmap[l]))]
+        by_img_right.setdefault(u, []).append(r)
+    pairs = [(l, r) for l in left_es.ordered
+             for r in by_img_right.get(lmap[l], ())]
+    on_left, on_right = {}, {}  # event -> bits of the pairs it lies in
+    for k, (l, r) in enumerate(pairs):
+        on_left[l] = on_left.get(l, 0) | 1 << k
+        on_right[r] = on_right.get(r, 0) | 1 << k
+    causes = [sum(on_left.get(d, 0) for d in left_es.below(l) if d != l)
+              | sum(on_right.get(d, 0) for d in right_es.below(r) if d != r)
+              for l, r in pairs]
+    partners = {}  # left event -> its tables and, per pair, the right's
+    for k, (l, r) in enumerate(pairs):
+        partners.setdefault(l, (*ltab[l], []))[3].append(
+            (*rtab[r], 1 << k, causes[k]))
 
-    start = frozenset()
-    prime_map = {start: {}}   # bijection -> {pair: frozenset of pairs}
-    frontier = [(start, 0, 0, lfull, rfull)]
+    frontier = [(0, 0, 0, lfull, rfull)]
     maximal = []
-    seen = {start}
-    prime_registry = {}       # pairset -> top pair
+    seen = {0}
+    prime_registry = {}       # prime's pair bits -> its top pair's bit
 
     while frontier:
         nxt = []
         for th, lefts, rights, lmask, rmask in frontier:
-            pmap = prime_map[th]
             grown = False
-            for l, lb, lcauses, lcons, rs in partners:
+            for lb, lcauses, lcons, rs in partners.values():
                 if lefts & lb or lcauses & ~lefts:
                     continue
                 lm = lmask & lcons
                 if not lm:
                     continue
-                for r, rb, rcauses, rcons in rs:
+                for rb, rcauses, rcons, kb, kcauses in rs:
                     if rights & rb or rcauses & ~rights:
                         continue
                     rm = rmask & rcons
                     if not rm:
                         continue
                     grown = True
-                    th2 = th | {(l, r)}
+                    th2 = th | kb
                     if th2 in seen:
                         continue
                     seen.add(th2)
                     if len(seen) > limits.max_configs:
                         raise over_cap(limits.max_configs,
                                        "secured bijections")
-                    pr = {(l, r)}
-                    for q, qpr in pmap.items():
-                        if lbit[q[0]] & lcauses or rbit[q[1]] & rcauses:
-                            pr |= qpr
-                    pr = frozenset(pr)
-                    prime_registry.setdefault(pr, (l, r))
+                    pr, todo = kb, kcauses & th
+                    while todo:
+                        pr |= todo
+                        reach = 0
+                        while todo:
+                            low = todo & -todo
+                            reach |= causes[low.bit_length() - 1]
+                            todo ^= low
+                        todo = reach & th & ~pr
+                    prime_registry.setdefault(pr, kb)
                     if len(prime_registry) > limits.max_primes:
                         raise over_cap(limits.max_primes,
                                        "interaction events")
-                    prime_map[th2] = {**pmap, (l, r): pr}
                     nxt.append((th2, lefts | lb, rights | rb, lm, rm))
             if not grown:
                 maximal.append(th)
@@ -228,21 +265,22 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
     # a prime's ekey compares its sorted pairs, then its top, and each side's
     # rank orders that side's events as ekey does
     lrank, rrank = left_es.rank, right_es.rank
+    table = _BijectionTable(pairs, seen)
+    primes = [(table.pair_set(pr), pairs[top.bit_length() - 1], pr)
+              for pr, top in prime_registry.items()]
 
     def rank_key(item):
-        pairs, (l, r) = item
-        return sorted((lrank[a], rrank[b]) for a, b in pairs), (lrank[l], rrank[r])
+        prs, (l, r), _ = item
+        return sorted((lrank[a], rrank[b]) for a, b in prs), (lrank[l], rrank[r])
 
-    events = [prime_event(pairs, top)
-              for pairs, top in sorted(prime_registry.items(), key=rank_key)]
-    below = {}
-    for p in events:
-        below[p] = frozenset(q for q in events
-                             if prime_pairs(q) <= prime_pairs(p))
+    for prs, top, pr in sorted(primes, key=rank_key):
+        table.primes.append((prime_event(prs, top), pr))
+    below = {e: frozenset(d for d, db in table.primes if not db & ~pr)
+             for e, pr in table.primes}
     # no maximal secured bijection lies inside another: the lowest pair of
     # their difference would extend the smaller one
-    maxcons = [_primes(prime_map[th]) for th in maximal]
-    return EventStructure(events, below, maxcons), prime_map
+    maxcons = [table.primes_in(th) for th in maximal]
+    return EventStructure([e for e, _ in table.primes], below, maxcons), table
 
 
 def pullback(f, g, limits=DEFAULT_LIMITS):
@@ -263,10 +301,10 @@ def enumerate_secured_bijections(f, g):
     """All secured bijections of the two total maps into one target, as pair
     sets."""
     _check_maps(f, g)
-    _, prime_map = _enumerate_pullback(f.src, dict(f.mapping), g.src,
-                                       dict(g.mapping), DEFAULT_LIMITS)
-    return sorted(prime_map, key=lambda th: (len(th),
-                                             sorted(map(pairkey, th))))
+    _, table = _enumerate_pullback(f.src, dict(f.mapping), g.src,
+                                   dict(g.mapping), DEFAULT_LIMITS)
+    return sorted(map(table.pair_set, table.bijections),
+                  key=lambda th: (len(th), sorted(map(pairkey, th))))
 
 
 # ---- interaction ------------------------------------------------------------------
@@ -311,17 +349,18 @@ def _ambient_to_target(u):
 class Interaction(BareStrategy):
     """The interaction of two bare strategies; its source events are primes."""
 
-    def __init__(self, source, game_a, middle, game_b, assign, prime_map,
+    def __init__(self, source, game_a, middle, game_b, assign, bijections,
                  name=""):
         super().__init__(source, game_a, middle, game_b, assign, name=name)
-        self._prime_map = prime_map
+        self._bijections = bijections  # the pullback's _BijectionTable
 
     @cached_property
     def primes_of(self):
         """Each secured bijection of the padded sources, as a pair set, mapped
         to its set of primes, the interaction configuration it stands for.
-        Derived on first read."""
-        return {th: _primes(pm) for th, pm in self._prime_map.items()}
+        Decoded on first read."""
+        t = self._bijections
+        return {t.pair_set(th): t.primes_in(th) for th in t.bijections}
 
 
 def interact(sigma, tau, limits=DEFAULT_LIMITS):
@@ -334,7 +373,8 @@ def interact(sigma, tau, limits=DEFAULT_LIMITS):
     if sigma.B != tau.A:
         raise MiddleGameMismatch("the two strategies do not share a middle game")
     left, right, lmap, rmap = _padding(sigma, tau)
-    es, prime_map = _enumerate_pullback(left.es, lmap, right.es, rmap, limits)
+    es, bijections = _enumerate_pullback(left.es, lmap, right.es, rmap,
+                                         limits)
 
     a_pol = dual(sigma.A).pol
     pol = {}
@@ -351,7 +391,7 @@ def interact(sigma, tau, limits=DEFAULT_LIMITS):
 
     source = Polarised(es, pol, name="interaction")
     middle = parallel(sigma.N, neutralise(sigma.B), tau.N)
-    return Interaction(source, sigma.A, middle, tau.B, assign, prime_map,
+    return Interaction(source, sigma.A, middle, tau.B, assign, bijections,
                        name=f"({tau.name} * {sigma.name})")
 
 

@@ -10,7 +10,8 @@ import random
 from pathlib import Path
 
 from esgames import fixtures as fx
-from esgames.games import is_plus_maximal, payload
+from esgames.games import (MINUS, PLUS, Polarised, game, is_plus_maximal,
+                           payload)
 from esgames.interaction import (_padding, compose, compose_stopping,
                                  enumerate_secured_bijections, interact,
                                  pair_configs, prime_pairs, pullback)
@@ -18,8 +19,8 @@ from esgames.randgen import (random_bare, random_game, random_in_game_strategy,
                              random_stopping, random_strategy)
 from esgames.rigid import rigid_image_stopping
 from esgames.strategies import (StoppingStrategy, copycat_strategy,
-                                saturate_stopping, stop_of)
-from esgames.structures import ESMap, find_isomorphism
+                                saturate_stopping, stop_of, strategy)
+from esgames.structures import ESMap, event_structure, find_isomorphism
 from esgames.testing import (enumerate_tests, find_gap, finite_traces,
                              may_pass, may_preorder, must_pass, must_preorder,
                              stopping_traces, synthesize_may_test,
@@ -29,9 +30,11 @@ fs = frozenset
 
 
 def strat_iso(a, b):
-    """Source isomorphism commuting with the target labelling."""
+    """Whether a source isomorphism commutes with the target labelling; the
+    one between two event-free sources is {}, so compare with None."""
     return find_isomorphism(a.source.es, b.source.es,
-                            label1=a.sigma.mapping, label2=b.sigma.mapping)
+                            label1=a.sigma.mapping,
+                            label2=b.sigma.mapping) is not None
 
 
 def stopping_iso(a, b):
@@ -66,7 +69,7 @@ def test_01_hidden_deadlock_same_composite_different_stopping():
     # composing away the middle hides the branch that never reaches c
     relay = fx.relay_b2_to_c()
     assert strat_iso(compose(fx.press_either(), relay),
-                     compose(fx.press_b2(), relay)) is not None
+                     compose(fx.press_b2(), relay))
     s_or = stop_of(interact(fx.press_either(), relay))
     s_b2 = stop_of(interact(fx.press_b2(), relay))
     assert stop_images(s_or) == {fs(), fs("c")}
@@ -111,6 +114,13 @@ def test_05_copycat_is_identity_on_random_strategies():
         sigma = random_strategy(rng, a, b)
         assert strat_iso(compose(sigma, copycat_strategy(b)), sigma), i
         assert strat_iso(compose(copycat_strategy(a), sigma), sigma), i
+    # with no Player move in A and no Opponent move in B, the event-free
+    # strategy is valid, and so are its composites with copycat
+    a = game(event_structure(["a"]), {"a": MINUS}, name="A")
+    b = game(event_structure(["b"]), {"b": PLUS}, name="B")
+    empty = strategy(Polarised(event_structure([]), {}), a, b, {})
+    assert strat_iso(compose(empty, copycat_strategy(b)), empty)
+    assert strat_iso(compose(copycat_strategy(a), empty), empty)
 
 
 def test_06_stopping_extraction_commutes_with_composition():

@@ -343,22 +343,23 @@ def padded_bare_pair(seed):
 
 def secured_bijections_exhaustively(left, right, lmap, rmap):
     """Every pair of configurations of the padded sides that secured_bijection
-    accepts, as its pair set, with the primes those bijections have; a pair
-    whose images differ raises ImageMismatch, so only equal images are tried."""
+    accepts, as its pair set, mapped to its primes: each pair's down-closure
+    as a prime event topped by that pair. A pair whose images differ raises
+    ImageMismatch, so only equal images are tried."""
     f, g = ESMap(left.es, None, lmap), ESMap(right.es, None, rmap)
     by_image = {}
     for y in right.es.configurations():
         by_image.setdefault(frozenset(rmap[e] for e in y), []).append(y)
-    bijections, primes = set(), set()
+    primes_of = {}
     for x in left.es.configurations():
         for y in by_image.get(frozenset(lmap[e] for e in x), ()):
             try:
                 theta = secured_bijection(f, g, x, y)
             except (ImageMismatch, Cycle):
                 continue
-            bijections.add(theta.pairs)
-            primes.update(theta.below(p) for p in theta.pairs)
-    return bijections, primes
+            primes_of[theta.pairs] = frozenset(
+                prime_event(theta.below(p), p) for p in theta.pairs)
+    return primes_of
 
 
 @given(seeds)
@@ -368,7 +369,9 @@ def secured_bijections_exhaustively(left, right, lmap, rmap):
 def test_pullback_enumeration_is_exhaustive_and_capped_exactly(seed):
     sigma, tau = padded_bare_pair(seed)
     left, right, lmap, rmap = padding = _padding(sigma, tau)
-    bijections, primes = secured_bijections_exhaustively(*padding)
+    primes_of = secured_bijections_exhaustively(*padding)
+    bijections = set(primes_of)
+    primes = frozenset().union(*primes_of.values())
     got = enumerate_secured_bijections(ESMap(left.es, None, lmap),
                                        ESMap(right.es, None, rmap))
     assert len(got) == len(bijections) and set(got) == bijections
@@ -382,8 +385,22 @@ def test_pullback_enumeration_is_exhaustive_and_capped_exactly(seed):
                 assert err.value.data == {"cap": k}
             else:
                 inter = interact(sigma, tau, limits)
-                assert len(inter._prime_map) == len(bijections)
+                assert len(inter._bijections) == len(bijections)
                 assert len(inter.source.events) == len(primes)
+
+
+@given(seeds)
+@example(10)
+@example(25)
+@settings(max_examples=30, deadline=None)
+def test_interaction_primes_of_match_the_exhaustive_oracle(seed):
+    # each bijection with its primes, pair sets and tops, as decoded from
+    # the pullback's integer encoding
+    sigma, tau = padded_bare_pair(seed)
+    primes_of = secured_bijections_exhaustively(*_padding(sigma, tau))
+    inter = interact(sigma, tau)
+    assert inter.primes_of == primes_of
+    assert inter.source.events == frozenset().union(*primes_of.values())
 
 
 def test_padded_pairs_have_conflicts_on_both_sides():
