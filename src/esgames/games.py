@@ -143,12 +143,6 @@ def parallel(*parts, name=""):
 # ---- polarity-filtered extension orders ---------------------------------------
 
 
-def plus_subset(pg, x, y):
-    """x ⊆ y growing only by Player or neutral events."""
-    x, y = frozenset(x), frozenset(y)
-    return x <= y and all(pg.pol[e] in (PLUS, NEUTRAL) for e in y - x)
-
-
 def minus_subset(pg, x, y):
     """x ⊆ y growing only by Opponent events."""
     x, y = frozenset(x), frozenset(y)
@@ -166,11 +160,17 @@ def scott_leq(pg, y, x):
 
 def is_plus_maximal(pg, x):
     """No extension of x by a Player or neutral event."""
-    return not any(pg.pol[e] in (PLUS, NEUTRAL) for e in pg.es.extensions(x))
+    return no_plus_extension(pg, pg.es.extensions(x))
+
+
+def no_plus_extension(pg, ext):
+    """No event of ext, a configuration's extensions, is Player or neutral."""
+    return not any(pg.pol[e] in (PLUS, NEUTRAL) for e in ext)
 
 
 def plus_maximal_configs(pg):
-    return [x for x in pg.es.configurations() if is_plus_maximal(pg, x)]
+    return [x for x, ext in pg.es.configuration_graph().items()
+            if no_plus_extension(pg, ext)]
 
 
 # ---- races and determinism ------------------------------------------------------
@@ -196,8 +196,7 @@ def is_deterministic(pg):
 def _first_clash(pg, rivals, limits):
     """The first x, Player-or-neutral extension e and other extension f with
     a polarity in rivals such that x | {e, f} is inconsistent, if any."""
-    for x in pg.es.configurations(limits):
-        ext = pg.es.extensions(x)
+    for x, ext in pg.es.configuration_graph(limits).items():
         for e in ext:
             if pg.pol[e] == MINUS:
                 continue

@@ -8,7 +8,7 @@ sorted events throughout, so a seed pins the output exactly.
 
 from .errors import InvalidStructure
 from .games import (EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game,
-                    is_race_free, parallel)
+                    is_race_free, no_plus_extension, parallel)
 from .strategies import StoppingStrategy, bare_strategy, strategy
 from .structures import ekey, event_structure
 
@@ -152,15 +152,12 @@ def _draw(rng, A, middle, B, build):
 
 def random_stopping(rng, st):
     """Random stopping data over a strategy: biased to +-maximal configs."""
-    from .games import is_plus_maximal
-
-    configs = st.configurations()
+    src, graph = st.source, st.configuration_graph()
+    maxes = [x for x, ext in graph.items() if no_plus_extension(src, ext)]
     stopping = set()
-    for x in configs:
-        p = 0.7 if is_plus_maximal(st.source, x) else 0.15
-        if rng.random() < p:
+    for x, ext in graph.items():
+        if rng.random() < (0.7 if no_plus_extension(src, ext) else 0.15):
             stopping.add(x)
     if not stopping and rng.random() < 0.9:
-        maxes = [x for x in configs if is_plus_maximal(st.source, x)]
-        stopping.add(rng.choice(maxes) if maxes else configs[-1])
+        stopping.add(rng.choice(maxes) if maxes else st.configurations()[-1])
     return StoppingStrategy(st, stopping)

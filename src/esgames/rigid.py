@@ -10,7 +10,7 @@ event itself was. Two events with equal records become one.
 from collections import namedtuple
 
 from .errors import BadArgument
-from .games import Polarised, is_plus_maximal
+from .games import Polarised, no_plus_extension
 from .limits import DEFAULT_LIMITS
 from .strategies import StoppingStrategy, strategy
 from .structures import ekey, event_structure
@@ -28,12 +28,14 @@ class PointedAugmentation:
     def __init__(self, carrier, order, top):
         # order: strict pairs (a, b), transitively closed
         if top not in carrier:
-            raise ValueError(f"top {top!r} outside the carrier")
+            raise BadArgument(f"top {top!r} outside the carrier",
+                              top=top, carrier=carrier)
         below_top = {a for (a, b) in order if b == top}
         if below_top != carrier - {top}:
-            raise ValueError("top is not above every other carrier event")
+            raise BadArgument("top is not above every other carrier event",
+                              top=top, order=order)
         if any((b, a) in order or a == b for (a, b) in order):
-            raise ValueError("order is not a strict partial order")
+            raise BadArgument("order is not a strict partial order", order=order)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "top", top)
@@ -146,22 +148,16 @@ def lint_stopping(st):
     image can create +-maximal configurations out of nowhere, so neither
     inclusion between stopping and +-maximal survives transport.
     """
-    src = st.strat.source
-    configs = st.strat.configurations()
-    findings = []
-    for x in configs:
-        if not any(x <= y for y in st.stopping):
-            findings.append(LintFinding(NO_STOPPING_EXTENSION, x))
-    dominated = sorted({x for y in st.sorted_stopping() for x in configs
-                        if x <= y and x not in st.stopping
-                        and is_plus_maximal(src, x)},
-                       key=src.es.config_key)
+    src, graph = st.strat.source, st.strat.configuration_graph()
+    maximal = [x for x, ext in graph.items() if no_plus_extension(src, ext)]
+    findings = [LintFinding(NO_STOPPING_EXTENSION, x) for x in graph
+                if not any(x <= y for y in st.stopping)]
     findings += [LintFinding(DOMINATED_MAXIMAL_NOT_STOPPING, x)
-                 for x in dominated]
-    for y in st.sorted_stopping():
-        if not is_plus_maximal(src, y):
-            findings.append(LintFinding(STOPPING_NOT_PLUS_MAXIMAL, y))
-    for x in configs:
-        if is_plus_maximal(src, x) and x not in st.stopping:
-            findings.append(LintFinding(PLUS_MAXIMAL_NOT_STOPPING, x))
+                 for x in maximal if x not in st.stopping
+                 and any(x <= y for y in st.stopping)]
+    findings += [LintFinding(STOPPING_NOT_PLUS_MAXIMAL, y)
+                 for y in st.sorted_stopping()
+                 if not no_plus_extension(src, graph[y])]
+    findings += [LintFinding(PLUS_MAXIMAL_NOT_STOPPING, x)
+                 for x in maximal if x not in st.stopping]
     return findings

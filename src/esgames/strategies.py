@@ -7,6 +7,7 @@ lift uniquely) and innocent in both directions. A strategy is the special case
 with no neutral events anywhere; every strategy is kept in the same three
 component typing with an empty middle, so target tags are uniformly
 (1, a) for the dual side, (2, n) for the middle and (3, b) for the B side.
+A bare strategy keeps its configuration graph; stop_of and the checks read it.
 """
 
 import weakref
@@ -35,9 +36,8 @@ from .games import (
     PLUS,
     copycat,
     dual,
-    is_plus_maximal,
+    no_plus_extension,
     parallel,
-    plus_subset,
 )
 from .limits import DEFAULT_LIMITS, over_cap
 from .structures import ESMap, cfgkey, sortedevents, validate_map
@@ -61,7 +61,7 @@ class BareStrategy:
         if self.target is None:
             self.target = _targets[key] = parallel(dual(game_a), middle, game_b)
         self.sigma = ESMap(source.es, self.target.es, assign)
-        self._configs = None  # configurations()
+        self._configs = self._graph = None  # configurations(), with extensions
         self._stop_of = None  # stop_of(self)
         self._by_image = None  # configurations_by_image()
         self._may_runs = None  # testing's table of ticking runs
@@ -95,13 +95,19 @@ class BareStrategy:
 
     def configurations(self, limits=DEFAULT_LIMITS):
         """Source configurations, smallest first, as a tuple; derived once
-        per strategy. A later cap below their number raises from the kept
-        count."""
+        per strategy, with their extensions. A later cap below their number
+        raises from the kept count."""
         if self._configs is None:
-            self._configs = tuple(self.source.configurations(limits))
+            self._graph = self.source.es.configuration_graph(limits)
+            self._configs = tuple(self._graph)
         elif len(self._configs) > limits.max_configs:
             raise over_cap(limits.max_configs, "configurations")
         return self._configs
+
+    def configuration_graph(self, limits=DEFAULT_LIMITS):
+        """Each source configuration mapped to its extensions; kept."""
+        self.configurations(limits)
+        return self._graph
 
     def configurations_by_image(self, limits=DEFAULT_LIMITS):
         """Source configurations grouped by their image on B, each group
@@ -170,8 +176,7 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
                                  events=undefined))
         return diags
 
-    configs = bs.configurations(limits)
-    rep = validate_map(bs.sigma, limits, configs=configs)
+    rep = validate_map(bs.sigma, limits, configs=bs.configurations(limits))
     diags.extend(rep.diagnostics)
 
     for s in bs.source.es.ordered:
@@ -191,24 +196,18 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
     # this implies the clause for any Opponent extension: the minimal new
     # events of a lifting have their causes in x, so it is built one step at
     # a time, and uniquely.
-    src, tgt = bs.source.es, bs.target.es
+    tgt = bs.target.es
     opponent = sortedevents(bs.target.events_with(MINUS))
-    src_opponent = bs.source.events_with(MINUS)
-    for x in configs:
+    for x, ext in bs.configuration_graph(limits).items():
         sx = bs.image(x)
-        lifts = {}
-        for s in src_opponent - x:
-            xs = x | {s}
-            if src.below(s) <= xs and src.is_consistent(xs):
-                a = bs.sigma.mapping[s]
-                lifts[a] = lifts.get(a, 0) + 1
+        lifts = [bs.sigma.mapping[s] for s in ext if bs.source.pol[s] == MINUS]
         for a in opponent:
             if a in sx:
                 continue
             y = sx | {a}
             if not tgt.below(a) <= y or not tgt.is_consistent(y):
                 continue
-            count = lifts.get(a, 0)
+            count = lifts.count(a)
             if count != 1:
                 diags.append(NotReceptive(
                     f"{count} liftings of {sortedevents(y)} over"
@@ -301,11 +300,11 @@ def stop_of(bs, limits=DEFAULT_LIMITS):
     its maximal configurations in that sense, and the strategy is bs itself.
     The result is derived once per bare strategy, and shared by later calls.
     """
-    configs = bs.configurations(limits)
+    graph = bs.configuration_graph(limits)
     if bs._stop_of is None:
         vis = bs.visible
-        stopping = {x & vis.source.events for x in configs
-                    if is_plus_maximal(bs.source, x)}
+        stopping = {x & vis.source.events for x, ext in graph.items()
+                    if no_plus_extension(bs.source, ext)}
         bs._stop_of = StoppingStrategy(vis, stopping,
                                        name=f"st({bs.name})" if bs.name else "")
     return bs._stop_of
@@ -387,14 +386,14 @@ def validate_two_cell(f, src, dst, kind="plain"):
                     f"image of stopping {sortedevents(x)} is not stopping",
                     x=x, image=f.image(x)))
     elif kind == "plus_reflecting":
-        src_configs = bsrc.configurations()
-        dst_configs = bdst.configurations()
-        for x in src_configs:
+        # the one-step form, equivalent by induction on a minimal new event
+        dst_graph = bdst.configuration_graph()
+        for x, ext in bsrc.configuration_graph().items():
             fx = f.image(x)
-            for y in dst_configs:
-                if not plus_subset(bdst.source, fx, y):
-                    continue
-                if not any(x <= x2 and f.image(x2) == y for x2 in src_configs):
+            lifted = {f.mapping[s] for s in ext}
+            for t in dst_graph[fx]:
+                if t not in lifted and bdst.source.pol[t] != MINUS:
+                    y = fx | {t}
                     diags.append(NotPlusReflecting(
                         f"no lifting of {sortedevents(y)} over {sortedevents(x)}",
                         x=x, y=y))

@@ -2,7 +2,8 @@
 
 An event structure is a finite set of events, a causal partial order kept as
 per-event down-closures, and a consistency family kept as the antichain of
-maximal consistent sets. Configurations are the consistent down-closed subsets.
+maximal consistent sets. Configurations are the consistent down-closed subsets;
+configuration_graph maps each, in one walk, to the events that extend it.
 
 Outside input is diagnosed by diagnose_structure (event_structure raises on
 its diagnostics). The engine's own builders call EventStructure directly with
@@ -172,16 +173,18 @@ class EventStructure:
                     out.append(e)
         return out
 
-    def configurations(self, limits=DEFAULT_LIMITS):
-        """All configurations, smallest first, deterministic order."""
+    def configuration_graph(self, limits=DEFAULT_LIMITS):
+        """Each configuration, smallest first, mapped to its extensions."""
         if limits.max_configs < 1:  # the empty configuration counts as one
             raise over_cap(limits.max_configs, "configurations")
+        graph = {}
         seen = {frozenset()}
         frontier = [frozenset()]
         while frontier:
             nxt = []
             for x in frontier:
-                for e in self.extensions(x):
+                graph[x] = ext = self.extensions(x)
+                for e in ext:
                     y = x | {e}
                     if y not in seen:
                         seen.add(y)
@@ -190,7 +193,11 @@ class EventStructure:
                                            "configurations")
                         nxt.append(y)
             frontier = nxt
-        return sorted(seen, key=self.config_key)
+        return {x: graph[x] for x in sorted(graph, key=self.config_key)}
+
+    def configurations(self, limits=DEFAULT_LIMITS):
+        """All configurations, smallest first, deterministic order."""
+        return list(self.configuration_graph(limits))
 
     # ---- derived structures --------------------------------------------------
 

@@ -10,7 +10,7 @@ from itertools import (chain, combinations, combinations_with_replacement,
                        groupby, permutations, product)
 
 from .errors import (BadArgument, Cycle, GameMismatch, InvalidStructure,
-                     NotAGap)
+                     NotAConfiguration, NotAGap)
 from .games import (MINUS, NEUTRAL, PLUS, TICK, Polarised, component, dual,
                     payload, success_game)
 from .interaction import glue
@@ -60,9 +60,16 @@ def traces_of(sigma, x, limits=DEFAULT_LIMITS):
 
     Events of the result carry their target tags. Every configuration has at
     least one trace; the empty configuration has exactly the empty trace.
-    Raises SizeBoundExceeded as soon as more than limits.max_configs traces
-    have been generated.
+    Raises NotAConfiguration when x is not a configuration, and
+    SizeBoundExceeded once more than limits.max_configs traces are made.
     """
+    if not sigma.source.es.is_configuration(x):
+        raise NotAConfiguration(
+            f"{sortedevents(x)} is not a configuration", member=frozenset(x))
+    return _traces(sigma, x, limits)
+
+
+def _traces(sigma, x, limits):
     out = set()
     for tr in _linearisations(sigma, x):
         out.add(tr)
@@ -76,7 +83,7 @@ def _trace_index(sigma, configs, limits):
     """trace -> first configuration realising it; configs come smallest first."""
     index = {}
     for x in configs:
-        for tr in traces_of(sigma, x, limits):
+        for tr in _traces(sigma, x, limits):
             index.setdefault(tr, x)
         if len(index) > limits.max_configs:
             raise over_cap(limits.max_configs, "distinct traces")
@@ -231,7 +238,7 @@ def find_gap(kind, s1, s2, limits=DEFAULT_LIMITS):
         return may_preorder(s1, s2, limits)[1]
     if kind == "must":
         return must_preorder(s1, s2, limits)[1]
-    raise ValueError(f"unknown preorder kind {kind!r}")
+    raise BadArgument(f"unknown preorder kind {kind!r}", kind=kind)
 
 
 # ---- synthesis of distinguishing tests -----------------------------------------------

@@ -1,6 +1,7 @@
 """The .esg text format and the esg command line driver."""
 
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,9 +14,11 @@ from hypothesis import strategies as st
 from esgames import cli
 from esgames import fixtures as fx
 from esgames.errors import ParseError
-from esgames.fileformat import (Definition, export_dot, parse, parse_file,
-                                print_workspace)
-from esgames.strategies import copycat_strategy
+from esgames.fileformat import (Definition, Workspace, export_dot, parse,
+                                parse_file, print_workspace)
+from esgames.randgen import (random_bare, random_game, random_stopping,
+                             random_strategy)
+from esgames.strategies import copycat_strategy, stop_of
 from esgames.testing import may_pass
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -125,6 +128,23 @@ stopping bad { strategy s; stop { y }; }
 def test_stopping_over_wrong_kind():
     with pytest.raises(ParseError, match="expected strategy"):
         parse("game G { event a +; }\nstopping s { strategy G; stop { }; }")
+
+
+def test_round_trip_is_a_fixpoint_on_random_strategies():
+    # strategies, bare strategies and stopping strategies, each emitted as
+    # esg emits a computed result, print back to the same text
+    rng = random.Random(505)
+    for i in range(30):
+        a, b = random_game(rng, 3), random_game(rng, 3)
+        bare = random_bare(rng, a, b)
+        out = cli._Out(Workspace())
+        out.strategy_def(random_strategy(rng, a, b), "sigma")
+        out.strategy_def(bare, "bare")
+        out.stopping_def(random_stopping(rng, random_strategy(rng, a, b)),
+                         "stopping")
+        out.stopping_def(stop_of(bare), "bare_st")
+        text = print_workspace(out.ws)
+        assert print_workspace(parse(text)) == text, i
 
 
 def test_consistent_blocks_survive_round_trip():

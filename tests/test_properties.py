@@ -20,6 +20,7 @@ from esgames.errors import (
     ImageMismatch,
     InvalidStructure,
     NotAConfiguration,
+    NotPlusReflecting,
     NotReceptive,
     SizeBoundExceeded,
 )
@@ -40,6 +41,8 @@ from esgames.games import (
 )
 from esgames.interaction import (
     _padding,
+    compose,
+    compose_stopping,
     enumerate_secured_bijections,
     glue,
     interact,
@@ -58,7 +61,7 @@ from esgames.randgen import (
     random_stopping,
     random_strategy,
 )
-from esgames.rigid import rigid_image_stopping
+from esgames.rigid import rigid_image, rigid_image_stopping
 from esgames.strategies import (
     BareStrategy,
     StoppingStrategy,
@@ -788,3 +791,119 @@ def test_inherited_event_orders_are_the_ekey_orders(seed):
     assert_as_built(visible_part(inter)[0].source.es)
     for t in enumerate_tests(a, 3, bare=True):  # kept test skeletons
         assert_as_built(t.source.es)
+
+
+# ---- bicategory laws on seeded draws ----------------------------------------------
+
+
+def labelled_iso(a, b):
+    """A source isomorphism of two strategies that commutes with their
+    assignments, or None."""
+    return find_isomorphism(a.source.es, b.source.es, label1=a.sigma.mapping,
+                            label2=b.sigma.mapping)
+
+
+def stopping_iso(a, b):
+    """A labelled isomorphism of the strategies that carries the stopping
+    sets of a onto those of b."""
+    iso = labelled_iso(a.strat, b.strat)
+    return iso is not None and \
+        {frozenset(iso[e] for e in x) for x in a.stopping} == b.stopping
+
+
+def game_chain(rng, i, n):
+    return [random_game(rng, max_events=3, name=f"G{i}_{k}") for k in range(n)]
+
+
+def test_composition_is_associative_on_random_triples():
+    rng = random.Random(101)
+    for i in range(30):
+        a, b, c, d = game_chain(rng, i, 4)
+        s, t, u = (random_strategy(rng, a, b), random_strategy(rng, b, c),
+                   random_strategy(rng, c, d))
+        assert labelled_iso(compose(compose(s, t), u),
+                            compose(s, compose(t, u))) is not None, i
+
+
+def test_stopping_composition_is_associative_on_random_triples():
+    rng = random.Random(202)
+    for i in range(30):
+        a, b, c, d = game_chain(rng, i, 4)
+        s, t, u = (stop_of(random_bare(rng, a, b)),
+                   stop_of(random_bare(rng, b, c)),
+                   stop_of(random_bare(rng, c, d)))
+        assert stopping_iso(compose_stopping(compose_stopping(s, t), u),
+                            compose_stopping(s, compose_stopping(t, u))), i
+
+
+def test_copycat_is_identity_for_stopping_composition():
+    rng = random.Random(303)
+    for i in range(30):
+        a, b = game_chain(rng, i, 2)
+        s = random_stopping(rng, random_strategy(rng, a, b))
+        for composite in (compose_stopping(s, stop_of(copycat_strategy(b))),
+                          compose_stopping(stop_of(copycat_strategy(a)), s)):
+            assert stopping_iso(composite, s), i
+
+
+# ---- +-reflecting 2-cells -----------------------------------------------------------
+
+
+def plus_reflection_gaps(f, src, dst):
+    """The definition read over all pairs: each (x, y) with y above f(x) by
+    Player or neutral events and no configuration above x with image y."""
+    src_configs = src.configurations()
+    gaps = []
+    for x in src_configs:
+        fx = frozenset(f[s] for s in x)
+        for y in dst.configurations():
+            if not (fx <= y and all(dst.source.pol[e] != MINUS
+                                    for e in y - fx)):
+                continue
+            if not any(x <= x2 and frozenset(f[s] for s in x2) == y
+                       for x2 in src_configs):
+                gaps.append((x, y))
+    return gaps
+
+
+def assert_plus_reflection_matches_the_definition(f, src, dst):
+    got = validate_two_cell(f, src, dst, "plus_reflecting")
+    gaps = plus_reflection_gaps(f, src, dst)
+    # one-step gaps are gaps; there is one exactly when there is any
+    assert all(isinstance(d, NotPlusReflecting) for d in got)
+    assert {(d.data["x"], d.data["y"]) for d in got} <= set(gaps)
+    assert (got == []) == (gaps == [])
+    return got == []
+
+
+def test_plus_reflection_matches_the_definition_on_rigid_images():
+    # the collapse f onto the rigid image reflects; its section, sending a
+    # history to its least source event, misses the other branches that
+    # play that history
+    rng = random.Random(404)
+    outcomes = Counter()
+    for i in range(40):
+        a, b = game_chain(rng, i, 2)
+        sigma = random_strategy(rng, a, b)
+        sigma0, f = rigid_image(sigma)
+        cells = [(f, sigma, sigma0)]
+        section = {}
+        for e in sortedevents(sigma.source.events):
+            section.setdefault(f[e], e)
+        if validate_two_cell(section, sigma0, sigma) == []:
+            cells.append((section, sigma0, sigma))
+        for cell in cells:
+            outcomes[assert_plus_reflection_matches_the_definition(*cell)] += 1
+    assert outcomes[True] > 40 and outcomes[False] >= 5
+
+
+def test_plus_reflection_matches_the_definition_on_fixtures():
+    relay = fx.relay_b2_to_c()
+    cells = [({e: e for e in relay.source.events}, relay, relay),
+             ({"s": "s2"}, fx.press_b2(), fx.press_either()),
+             ({"x1": "s", "x2": "s"}, fx.double_press_c(), fx.press_c()),
+             ({"m": "n", "n": "n", "s": "s"}, fx.shot_or_stall(),
+              fx.shot_after_step())]
+    got = [assert_plus_reflection_matches_the_definition(*cell)
+           for cell in cells]
+    assert got == [True, False, True, False]

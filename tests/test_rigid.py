@@ -37,12 +37,16 @@ def strat_iso(a, b):
 
 
 def test_pointed_augmentation_checks_its_shape():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument) as e:
         PointedAugmentation(fs("a"), frozenset(), "b")
-    with pytest.raises(ValueError):
+    assert e.value.data == {"top": "b", "carrier": fs("a")}
+    with pytest.raises(BadArgument) as e:
         PointedAugmentation(fs("a", "b"), frozenset(), "b")
-    with pytest.raises(ValueError):
-        PointedAugmentation(fs("a", "b"), fs(("a", "b"), ("b", "a")), "b")
+    assert e.value.data == {"top": "b", "order": frozenset()}
+    cyclic = fs(("a", "b"), ("b", "a"))
+    with pytest.raises(BadArgument) as e:
+        PointedAugmentation(fs("a", "b"), cyclic, "b")
+    assert e.value.data == {"order": cyclic}
     aug = PointedAugmentation(fs("a", "b"), fs(("a", "b")), "b")
     assert aug.restrict("a") == PointedAugmentation(fs("a"), frozenset(), "a")
 

@@ -98,9 +98,22 @@ def test_no_unbounded_caches_in_src():
     assert not found, "\n".join(found)
 
 
+def test_no_value_errors_raised_in_src():
+    # bad arguments raise BadArgument, with their data, like every other
+    # typed error of the engine
+    found = [f"{path}:{node.lineno}"
+             for path, tree in sources("src")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "ValueError" in {getattr(n, "id", None)
+                                  for n in ast.walk(node.exc)}]
+    assert not found, "\n".join(found)
+
+
 def test_strategy_sources_are_enumerated_through_bare_strategy_configurations():
-    # a strategy's configurations are enumerated once and kept on it: no
-    # reader goes around BareStrategy.configurations to its source
+    # a strategy's configurations and their extensions are enumerated once
+    # and kept on it: no reader goes around BareStrategy's own methods to its
+    # source's configurations or configuration_graph
     found = []
     for path, tree in sources("src"):
         exempt = {id(n) for cls in tree.body
@@ -108,12 +121,12 @@ def test_strategy_sources_are_enumerated_through_bare_strategy_configurations():
                   and cls.name == "BareStrategy"
                   for fn in cls.body
                   if isinstance(fn, ast.FunctionDef)
-                  and fn.name == "configurations"
                   for n in ast.walk(fn)}
         for node in ast.walk(tree):
             if (not isinstance(node, ast.Call) or id(node) in exempt
                     or not isinstance(node.func, ast.Attribute)
-                    or node.func.attr != "configurations"):
+                    or node.func.attr not in ("configurations",
+                                              "configuration_graph")):
                 continue
             owner = node.func.value
             if isinstance(owner, ast.Attribute) and owner.attr == "es":

@@ -325,7 +325,7 @@ def test_two_cell_kind_and_stopping_endpoints_are_checked():
 
 def test_validation_enumerates_the_source_once(monkeypatch):
     calls = []
-    original = EventStructure.configurations
+    original = EventStructure.configuration_graph
 
     def counted(self, limits=DEFAULT_LIMITS):
         calls.append(self)
@@ -333,7 +333,7 @@ def test_validation_enumerates_the_source_once(monkeypatch):
 
     # the fixtures are cached: build them before counting starts
     fixtures = (fx.shot_or_stall(), fx.relay_b2_to_c(), fx.lamp_choice())
-    monkeypatch.setattr(EventStructure, "configurations", counted)
+    monkeypatch.setattr(EventStructure, "configuration_graph", counted)
     for made in fixtures:
         bs = BareStrategy(made.source, made.A, made.N, made.B,
                           made.sigma.mapping)
@@ -344,16 +344,42 @@ def test_validation_enumerates_the_source_once(monkeypatch):
         calls.clear()
 
 
+def test_validation_and_stop_of_find_each_extension_once(monkeypatch):
+    calls = []
+    original = EventStructure.extensions
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    # the fixtures are cached: build them before counting starts
+    fixtures = (fx.shot_or_stall(), fx.relay_b2_to_c(), fx.lamp_choice(),
+                fx.ladder_two_stalls())
+    monkeypatch.setattr(EventStructure, "extensions", counted)
+    counts, once_each = [], []
+    for made in fixtures:
+        bs = _fresh(made)
+        assert validate_bare_strategy(bs) == []
+        stop_of(bs)
+        counts.append(len(calls))
+        once_each.append(sorted(calls, key=bs.source.es.config_key)
+                         == list(bs.configurations()))
+        calls.clear()
+    # one call per configuration: a second derivation would double these
+    assert counts == [4, 6, 3, 17]
+    assert all(once_each)
+
+
 def test_plus_reflection_enumerates_each_side_once(monkeypatch):
     small, big = fx.press_b2(), fx.press_either()
     calls = []
-    original = EventStructure.configurations
+    original = EventStructure.configuration_graph
 
     def counted(self, limits=DEFAULT_LIMITS):
         calls.append(self)
         return original(self, limits)
 
-    monkeypatch.setattr(EventStructure, "configurations", counted)
+    monkeypatch.setattr(EventStructure, "configuration_graph", counted)
     diags = validate_two_cell({"s": "s2"}, small, big, "plus_reflecting")
     assert any(isinstance(d, NotPlusReflecting) for d in diags)
     for side in (small, big):
@@ -362,7 +388,7 @@ def test_plus_reflection_enumerates_each_side_once(monkeypatch):
 
 def test_two_cells_read_the_kept_source_configurations(monkeypatch):
     calls = []
-    original = EventStructure.configurations
+    original = EventStructure.configuration_graph
 
     def counted(self, limits=DEFAULT_LIMITS):
         calls.append(self)
@@ -372,7 +398,7 @@ def test_two_cells_read_the_kept_source_configurations(monkeypatch):
     # before counting starts
     small, big = fx.press_b2(), fx.press_either()
     small.configurations(), big.configurations()
-    monkeypatch.setattr(EventStructure, "configurations", counted)
+    monkeypatch.setattr(EventStructure, "configuration_graph", counted)
     for kind in ("plain", "plus_reflecting", "rigid_epi"):
         validate_two_cell({"s": "s2"}, small, big, kind)
         assert [es for es in calls if es is small.source.es] == [], kind
@@ -424,7 +450,7 @@ def test_a_smaller_cap_on_a_later_read_raises_and_the_count_reads_the_kept():
 
 def test_strategy_level_reads_do_not_enumerate_the_source_again(monkeypatch):
     calls = []
-    original = EventStructure.configurations
+    original = EventStructure.configuration_graph
 
     def counted(self, limits=DEFAULT_LIMITS):
         calls.append(self)
@@ -432,7 +458,7 @@ def test_strategy_level_reads_do_not_enumerate_the_source_again(monkeypatch):
 
     # the fixtures are cached: build them before counting starts
     wider, probe = fx.press_either(), fx.tick2_probe()
-    monkeypatch.setattr(EventStructure, "configurations", counted)
+    monkeypatch.setattr(EventStructure, "configuration_graph", counted)
     subject = in_game_strategy(Polarised(event_structure(["s"]), {"s": PLUS}),
                                fx.buttons(), {"s": "b2"})
     assert [es for es in calls if es is subject.source.es] == [subject.source.es]
@@ -451,7 +477,7 @@ def test_strategy_level_reads_do_not_enumerate_the_source_again(monkeypatch):
 def test_a_smaller_cap_on_a_later_read_raises_without_enumerating(
         monkeypatch):
     calls = []
-    original = EventStructure.configurations
+    original = EventStructure.configuration_graph
 
     def counted(self, limits=DEFAULT_LIMITS):
         calls.append(self)
@@ -461,7 +487,7 @@ def test_a_smaller_cap_on_a_later_read_raises_without_enumerating(
         Polarised(event_structure(["r1", "r2"]), {"r1": PLUS, "r2": PLUS}),
         fx.buttons(), {"r1": "b1", "r2": "b2"})
     n = len(subject.configurations())
-    monkeypatch.setattr(EventStructure, "configurations", counted)
+    monkeypatch.setattr(EventStructure, "configuration_graph", counted)
     with pytest.raises(SizeBoundExceeded) as e:
         subject.configurations(EngineLimits(max_configs=n - 1))
     assert e.value.data == {"cap": n - 1}

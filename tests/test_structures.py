@@ -59,6 +59,17 @@ def test_conflict_is_hereditary():
     assert not es.is_consistent({"a", "c"})
 
 
+def test_configuration_graph_keeps_each_configurations_extensions():
+    es = event_structure(["a", "b", "c"], causes=[("b", "c")],
+                         conflicts=[("a", "b")])
+    assert es.configuration_graph() == {
+        fs(): ["a", "b"], fs("a"): [], fs("b"): ["c"], fs("b", "c"): []}
+    assert list(es.configuration_graph()) == es.configurations()
+    with pytest.raises(SizeBoundExceeded) as e:
+        es.configuration_graph(EngineLimits(max_configs=3))
+    assert e.value.data == {"cap": 3}
+
+
 def test_consistent_blocks_override_conflicts():
     es = event_structure(["a", "b", "c"], consistent=[{"a", "b"}, {"b", "c"}])
     assert set(es.maxcons) == {fs("a", "b"), fs("b", "c")}

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from esgames import fixtures as fx
 from esgames import testing
-from esgames.errors import BadArgument, GameMismatch, NotAGap, SizeBoundExceeded
+from esgames.errors import (BadArgument, GameMismatch, NotAConfiguration,
+                            NotAGap, SizeBoundExceeded)
 from esgames.games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game
 from esgames.interaction import compose_stopping
 from esgames.limits import DEFAULT_LIMITS, EngineLimits
@@ -64,6 +65,18 @@ def test_traces_respect_source_order():
         ((1, "b2"), (1, "b1"), (3, TICK)),
         ((1, "b2"), (3, TICK), (1, "b1")),
     }
+
+
+def test_traces_of_refuses_a_set_that_is_not_a_configuration():
+    # t3 waits for t2: {t3} is not down-closed
+    relay = fx.relay_b2_to_c()
+    with pytest.raises(NotAConfiguration) as e:
+        traces_of(relay, {"t3"})
+    assert e.value.data == {"member": fs("t3")}
+    for sigma, x in ((relay, {"nope"}), (fx.double_press_c(), {"x1", "x2"})):
+        with pytest.raises(NotAConfiguration):
+            traces_of(sigma, x)
+    assert traces_of(relay, {"t2", "t3"}) == {((1, "b2"), (3, "c"))}
 
 
 def test_finite_traces_of_internal_choice():
@@ -273,8 +286,9 @@ def test_duplicate_branch_never_separates(pairs):
 def test_find_gap_dispatch():
     gap = find_gap("may", fx.press_either(), fx.press_b2())
     assert gap == (fs("s1"), ((3, "b1"),))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadArgument) as e:
         find_gap("sometimes", fx.press_b2(), fx.press_b2())
+    assert e.value.data == {"kind": "sometimes"}
 
 
 # ---- synthesis -------------------------------------------------------------
@@ -634,15 +648,15 @@ def test_must_synthesis_over_moves_mixing_strings_and_tuples(other):
 
 
 def counting_configurations(monkeypatch):
-    """Record the structure of every configurations() call from now on."""
+    """Record the structure of every configuration walk from now on."""
     calls = []
-    original = EventStructure.configurations
+    original = EventStructure.configuration_graph
 
     def counted(self, limits=DEFAULT_LIMITS):
         calls.append(self)
         return original(self, limits)
 
-    monkeypatch.setattr(EventStructure, "configurations", counted)
+    monkeypatch.setattr(EventStructure, "configuration_graph", counted)
     return calls
 
 
