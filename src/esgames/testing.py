@@ -66,10 +66,6 @@ def traces_of(sigma, x, limits=DEFAULT_LIMITS):
     if not sigma.source.es.is_configuration(x):
         raise NotAConfiguration(
             f"{sortedevents(x)} is not a configuration", member=frozenset(x))
-    return _traces(sigma, x, limits)
-
-
-def _traces(sigma, x, limits):
     out = set()
     for tr in _linearisations(sigma, x):
         out.add(tr)
@@ -83,7 +79,7 @@ def _trace_index(sigma, configs, limits):
     """trace -> first configuration realising it; configs come smallest first."""
     index = {}
     for x in configs:
-        for tr in _traces(sigma, x, limits):
+        for tr in traces_of(sigma, x, limits):
             index.setdefault(tr, x)
         if len(index) > limits.max_configs:
             raise over_cap(limits.max_configs, "distinct traces")
