@@ -421,6 +421,10 @@ def glue(sigma, tau, x, y):
     The moves of A, M, N and C that the padding copies add no order: a total
     map reflects its target's order inside a configuration, so their edges
     are already among the source's own.
+
+    pair_configs reads the closures. Whether a pair glues at all is decided
+    by the two orders on B alone, which testing reads from each side's kept
+    order_on; glue is the oracle for that check.
     """
     smap, tmap = sigma.sigma.mapping, tau.sigma.mapping
     pair_of_s, s_on_b = {}, {}
@@ -490,7 +494,7 @@ def _stopping_pairings(s, t, limits):
     _assert_race_free(limits, s.strat.A, s.strat.B, t.strat.B)
     by_image = s.stopping_by_image()
     for y in t.sorted_stopping():
-        for x in by_image.get(t.strat.image_on(1, y), ()):
+        for x, _ in by_image.get(t.strat.image_on(1, y), ()):
             got = pair_configs(s.strat, t.strat, x, y)
             if got is not None:
                 yield got

@@ -93,6 +93,26 @@ class BareStrategy:
         m = self.sigma.mapping
         return frozenset(u for j, u in map(m.__getitem__, x) if j == side)
 
+    def order_on(self, side, x):
+        """The strict order configuration x induces on the moves it plays in
+        one game (side 1 for A, side 3 for B), as edges (move bit, mask of
+        the moves below it), a move's bit set by its rank in the game: ()
+        when x orders none of them, None when x plays one of them twice."""
+        rank = (self.A if side == 1 else self.B).es.rank
+        m, below = self.sigma.mapping, self.source.es.below
+        bits, seen = {}, 0
+        for s in x:
+            j, u = m[s]
+            if j == side:
+                b = 1 << rank[u]
+                if seen & b:
+                    return None
+                seen |= b
+                bits[s] = b
+        edges = ((b, sum(bits.get(d, 0) for d in below(s)) - b)
+                 for s, b in bits.items())
+        return tuple((b, mask) for b, mask in edges if mask)
+
     def configurations(self, limits=DEFAULT_LIMITS):
         """Source configurations, smallest first, as a tuple; derived once
         per strategy, with their extensions. A later cap below their number
@@ -111,7 +131,8 @@ class BareStrategy:
 
     def configurations_by_image(self, limits=DEFAULT_LIMITS):
         """Source configurations grouped by their image on B, each group
-        smallest first; derived once per strategy."""
+        smallest first, as pairs (x, x's order_on B); derived once per
+        strategy."""
         configs = self.configurations(limits)
         if self._by_image is None:
             self._by_image = _group_by_image(self, configs)
@@ -126,7 +147,8 @@ class BareStrategy:
 def _group_by_image(bs, configs):
     groups = {}
     for x in configs:
-        groups.setdefault(bs.image_on(3, x), []).append(x)
+        groups.setdefault(bs.image_on(3, x), []).append(
+            (x, bs.order_on(3, x)))
     return {b: tuple(xs) for b, xs in groups.items()}
 
 
@@ -282,7 +304,7 @@ class StoppingStrategy:
 
     def stopping_by_image(self):
         """The stopping configurations grouped by their image on B, each
-        group smallest first."""
+        group smallest first, as pairs (x, x's order_on B)."""
         if self._by_image is None:
             self._by_image = _group_by_image(self.strat, self.sorted_stopping())
         return self._by_image

@@ -3,6 +3,14 @@
 A test is a bare strategy from a game into the one-move success game; a
 subject passes in the may sense when some pairing reaches the success move,
 and in the must sense when every stopping pairing does.
+
+A subject configuration x and a test configuration y pair when they play the
+same moves of the game, each at most once, and the order S induces on x
+and T on y, glued along those moves, is acyclic (interaction.glue). Every
+glued edge comes from S or from T, and both are partial orders, so a cycle
+alternates sides at shared moves and shortcuts to a cycle on the moves: the
+pairing is decided from the two orders on the moves alone, which each side
+keeps once per configuration (BareStrategy.order_on).
 """
 
 from collections import OrderedDict, namedtuple
@@ -13,9 +21,9 @@ from .errors import (BadArgument, Cycle, GameMismatch, InvalidStructure,
                      NotAConfiguration, NotAGap)
 from .games import (MINUS, NEUTRAL, PLUS, TICK, Polarised, component, dual,
                     payload, success_game)
-from .interaction import glue
 from .limits import DEFAULT_LIMITS, over_cap
-from .strategies import StoppingStrategy, bare_strategy, stop_of, strategy
+from .strategies import (BareStrategy, StoppingStrategy, bare_strategy,
+                         stop_of, strategy)
 from .structures import (EventStructure, ekey, event_structure,
                          inherited_conflicts, maximal_consistent_sets,
                          reflexive_closures, sortedevents)
@@ -111,6 +119,9 @@ def _as_stopping(subject, limits):
 
 
 def _check_test_shape(subject, test):
+    if not isinstance(test, BareStrategy):
+        raise BadArgument("a test is a bare strategy into the success game,"
+                          f" not {type(test).__name__}", test=test)
     if subject.A.events:
         raise GameMismatch("test subjects play in a single game",
                            left=subject.A)
@@ -131,19 +142,20 @@ def _ticks(bs, y):
 
 
 def _runs(t, configs, ticking):
-    """(image on the game, y) for each y of configs that reaches the success
-    move or, with ticking false, does not; in the order of configs."""
-    return tuple((t.image_on(1, y), y) for y in configs
+    """(image on the game, y, y's order_on the game) for each y of configs
+    that reaches the success move or, with ticking false, does not; in the
+    order of configs."""
+    return tuple((t.image_on(1, y), y, t.order_on(1, y)) for y in configs
                  if _ticks(t, y) == ticking)
 
 
 def _may_runs(test, limits):
-    """The test's visible part and its ticking runs, kept on the test."""
+    """The test's ticking runs, kept on the test."""
     tvis = test.visible
     configs = tvis.configurations(limits)
     if test._may_runs is None:
         test._may_runs = _runs(tvis, configs, True)
-    return tvis, test._may_runs
+    return test._may_runs
 
 
 def _must_runs(tstop):
@@ -154,12 +166,34 @@ def _must_runs(tstop):
     return tstop._must_runs
 
 
-def _first_glued(sub, t, runs, by_image):
-    """The least (x, y) that glues: y from the test t's runs in their order,
+def _acyclic(p, q):
+    """Whether the orders p and q that two configurations with one image
+    induce on it (order_on) have an acyclic union; never when either plays
+    a move twice (None). Moves are placed once none below them is left."""
+    if p is None or q is None:
+        return False
+    if not p or not q:
+        return True
+    below = dict(p)
+    for b, mask in q:
+        below[b] = below.get(b, 0) | mask
+    left = sum(below)
+    while below:
+        ready = [b for b, mask in below.items() if not mask & left]
+        if not ready:
+            return False
+        for b in ready:
+            del below[b]
+        left -= sum(ready)
+    return True
+
+
+def _first_glued(runs, by_image):
+    """The least (x, y) that glues: y from the test's runs in their order,
     x from the subject's configurations with y's image on the game; or None."""
-    for image, y in runs:
-        for x in by_image.get(image, ()):
-            if glue(sub, t, x, y) is not None:
+    for image, y, q in runs:
+        for x, p in by_image.get(image, ()):
+            if _acyclic(p, q):
                 return x, y
     return None
 
@@ -172,8 +206,8 @@ def may_pass(subject, test, limits=DEFAULT_LIMITS):
     """
     sub = _visible(subject)
     _check_test_shape(sub, test)
-    tvis, runs = _may_runs(test, limits)
-    wit = _first_glued(sub, tvis, runs, sub.configurations_by_image(limits))
+    runs = _may_runs(test, limits)
+    wit = _first_glued(runs, sub.configurations_by_image(limits))
     return Verdict(wit is not None, wit)
 
 
@@ -187,8 +221,7 @@ def must_pass(subject, test, limits=DEFAULT_LIMITS):
     sub = _as_stopping(subject, limits)
     _check_test_shape(sub.strat, test)
     tstop = stop_of(test, limits)
-    wit = _first_glued(sub.strat, tstop.strat, _must_runs(tstop),
-                       sub.stopping_by_image())
+    wit = _first_glued(_must_runs(tstop), sub.stopping_by_image())
     return Verdict(wit is None, wit)
 
 
@@ -202,10 +235,14 @@ def _require_same_game(b1, b2):
 
 
 def _least_gap(index, others):
+    """The shortlex-least trace of index missing from others, by ekey, with
+    its configuration; keys are built for the shortest missing traces only."""
     missing = [tr for tr in index if tr not in others]
     if not missing:
         return None
-    alpha = min(missing, key=lambda tr: (len(tr), tuple(ekey(e) for e in tr)))
+    n = min(map(len, missing))
+    alpha = min((tr for tr in missing if len(tr) == n),
+                key=lambda tr: tuple(map(ekey, tr)))
     return index[alpha], alpha
 
 

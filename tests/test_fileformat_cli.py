@@ -436,7 +436,9 @@ DEFERRED = ("esgames.interaction", "esgames.testing", "esgames.rigid",
     ("copycat GB", ""),
     ("compose tau_bc sigma_or", "esgames.interaction"),
     ("rigid-image sigma_or", "esgames.rigid"),
-    ("may-preorder sigma_b2 sigma_or", "esgames.interaction esgames.testing"),
+    ("may-preorder sigma_b2 sigma_or", "esgames.testing"),
+    ("must sigma_or tau_bc", "esgames.testing"),
+    ("synth-may sigma_or sigma_b2", "esgames.testing"),
 ])
 def test_cli_commands_load_only_the_layers_they_run(command, loaded):
     argv = ["-f", "fixtures/hidden_deadlock.esg", *command.split()]

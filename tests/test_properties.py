@@ -32,6 +32,7 @@ from esgames.games import (
     Polarised,
     copycat,
     dual,
+    game,
     is_deterministic,
     is_race_free,
     minus_subset,
@@ -86,6 +87,7 @@ from esgames.structures import (
 from esgames.testing import (
     TICK,
     Verdict,
+    _acyclic,
     _candidates,
     _closures,
     _combos,
@@ -448,6 +450,108 @@ def test_test_runs_pair_by_image_as_all_pairs_do(seed):
     for t in enumerate_tests(g, 3, bare=True):
         s = random_stopping(rng, random_in_game_strategy(rng, g))
         assert must_pass(s, t) == all_pairs_verdict("must", s, t)
+
+
+def kept_orders_against_glue(sigma, tau):
+    """Check the kept orders' verdict against glue on every x of sigma and y
+    of tau with one image on the middle game; returns the number of such
+    pairs and of those refused for a cycle alone."""
+    by_image = sigma.configurations_by_image()
+    tried = cyclic = 0
+    for y in tau.configurations():
+        q = tau.order_on(1, y)
+        for x, p in by_image.get(tau.image_on(1, y), ()):
+            assert p == sigma.order_on(3, x)
+            glued = glue(sigma, tau, x, y) is not None
+            assert _acyclic(p, q) == glued, (x, y)
+            tried += 1
+            cyclic += not glued and p is not None and q is not None
+    return tried, cyclic
+
+
+def test_kept_orders_glue_as_glue_does_on_random_subjects_and_tests():
+    tried = cyclic = 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        g = random_game(rng, 3, min_events=2)
+        subjects = [random_in_game_strategy(rng, g) for _ in range(2)]
+        subjects += [random_bare(rng, EMPTY, g) for _ in range(2)]
+        for t in enumerate_tests(g, 3) + enumerate_tests(g, 3, bare=True):
+            for s in subjects + [stop_of(s).strat for s in subjects[2:]]:
+                a, c = kept_orders_against_glue(s, t)
+                tried, cyclic = tried + a, cyclic + c
+    # not vacuous: many pairs meet, and dozens are parted by a cycle alone
+    assert tried >= 10000 and cyclic >= 50, (tried, cyclic)
+
+
+def _fixture_strategies():
+    """Every strategy a fixture builder without arguments builds."""
+    found = []
+    for name, fn in vars(fx).items():
+        if (getattr(fn, "__module__", None) != fx.__name__
+                or any(p.default is p.empty
+                       for p in inspect.signature(fn).parameters.values())):
+            continue
+        made = fn()
+        made = getattr(made, "strat", made)
+        if isinstance(made, BareStrategy):
+            found.append(made)
+    return found
+
+
+def test_kept_orders_glue_as_glue_does_on_the_fixtures():
+    made = _fixture_strategies()
+    pairs = [(s, t) for s in made for t in made if s.B == t.A]
+    tried = cyclic = 0
+    for s, t in pairs:
+        a, c = kept_orders_against_glue(s, t)
+        tried, cyclic = tried + a, cyclic + c
+    assert len(pairs) >= 20 and tried >= 100 and cyclic >= 1, \
+        (len(pairs), tried, cyclic)
+
+
+def _unchecked_in_game(g, side, order, assign, pol):
+    """A hand-built bare strategy playing g on side 1 (a test, into the
+    success game) or 3 (a subject), left unvalidated."""
+    src = Polarised(event_structure(sorted(assign), causes=order), pol)
+    if side == 1:
+        return BareStrategy(src, g, EMPTY, success_game(), assign)
+    return BareStrategy(src, EMPTY, EMPTY, g, assign)
+
+
+def test_a_configuration_playing_a_move_twice_never_glues():
+    # s1 and s2 both play p, and so do u1 and u2
+    g = fx.one_shot()
+    sub = _unchecked_in_game(g, 3, [], {"s1": (3, "p"), "s2": (3, "p")},
+                             {"s1": PLUS, "s2": PLUS})
+    test = _unchecked_in_game(
+        g, 1, [("u1", TICK), ("u2", TICK)],
+        {"u1": (1, "p"), "u2": (1, "p"), TICK: (3, TICK)},
+        {"u1": MINUS, "u2": MINUS, TICK: PLUS})
+    assert sub.order_on(3, frozenset({"s1", "s2"})) is None
+    assert test.order_on(1, frozenset({"u1", "u2"})) is None
+    assert sub.order_on(3, frozenset({"s1"})) == ()
+    assert kept_orders_against_glue(sub, test) == (13, 0)
+    assert may_pass(sub, test) == Verdict(False)
+
+
+def test_kept_orders_find_a_cycle_through_four_moves():
+    # the subject orders a < b and c < d, the test b < c and d < a: no two
+    # moves are ordered both ways, yet the four close a cycle
+    moves = ["a", "b", "c", "d"]
+    g = game(event_structure(moves), dict.fromkeys(moves, PLUS))
+    sub = _unchecked_in_game(g, 3, [("a", "b"), ("c", "d")],
+                             {m: (3, m) for m in moves},
+                             dict.fromkeys(moves, PLUS))
+    test = _unchecked_in_game(g, 1, [("b", "c"), ("d", "a")],
+                              {m: (1, m) for m in moves},
+                              dict.fromkeys(moves, MINUS))
+    x = y = frozenset(moves)
+    p, q = sub.order_on(3, x), test.order_on(1, y)
+    assert sorted(p) == [(2, 1), (8, 4)] and sorted(q) == [(1, 8), (4, 2)]
+    assert not _acyclic(p, q) and glue(sub, test, x, y) is None
+    # the empty configurations and these two are the only ones that meet
+    assert kept_orders_against_glue(sub, test) == (2, 1)
 
 
 def receptive_exhaustively(bs):

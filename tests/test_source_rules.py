@@ -135,3 +135,22 @@ def test_strategy_sources_are_enumerated_through_bare_strategy_configurations():
             if isinstance(owner, ast.Attribute) and owner.attr == "source":
                 found.append(f"{path}:{node.lineno}")
     assert not found, "\n".join(found)
+
+
+def test_testing_imports_nothing_from_interaction():
+    # a run decides each pairing from the kept orders on the game, so the
+    # may and must commands never load the pullback layer
+    found = []
+    for path, tree in sources("src"):
+        if path.name != "testing.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "interaction" for n in names):
+                found.append(f"{path}:{node.lineno}")
+    assert not found, "\n".join(found)

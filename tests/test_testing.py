@@ -708,3 +708,11 @@ def test_preorders_and_synthesis_refuse_what_is_not_over_their_game():
     with pytest.raises(NotAGap) as err:
         synthesize_may_test(fx.press_b2(), (fs(), ((3, "nope"),)))
     assert err.value.data == {"event": "nope"}
+
+
+def test_both_runners_refuse_a_stopping_test_with_a_typed_error():
+    test = stop_of(fx.tick2_probe())
+    for runner in (may_pass, must_pass):
+        with pytest.raises(BadArgument) as err:
+            runner(fx.press_either(), test)
+        assert err.value.data == {"test": test}
