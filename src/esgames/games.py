@@ -32,6 +32,7 @@ class Polarised:
         self.es = es
         self.pol = pol
         self.name = name or es.name
+        self._hash = None
 
     # frequently used views on the underlying structure
     @property
@@ -72,7 +73,9 @@ class Polarised:
         return self.es == other.es and self.pol == other.pol
 
     def __hash__(self):
-        return hash((self.es, frozenset(self.pol.items())))
+        if self._hash is None:
+            self._hash = hash((self.es, frozenset(self.pol.items())))
+        return self._hash
 
     def __repr__(self):
         nm = self.name or "polarised"

@@ -65,9 +65,9 @@ class BareStrategy:
         self._stop_of = None  # stop_of(self)
         self._by_image = None  # configurations_by_image()
         self._may_runs = None  # testing's table of ticking runs
-        self._matched_game = None  # testing: the last game A was checked equal to
+        self._matched_game = None  # testing: the last test game found equal to B
 
-    @property
+    @cached_property
     def is_strategy(self):
         return (not self.N.events
                 and NEUTRAL not in self.source.pol.values())
@@ -320,9 +320,12 @@ def stop_of(bs, limits=DEFAULT_LIMITS):
     A configuration counts as maximal when it has no Player or neutral
     extension. For a source without neutral events this is exactly the set of
     its maximal configurations in that sense, and the strategy is bs itself.
-    The result is derived once per bare strategy, and shared by later calls.
+    The result is derived once per bare strategy, and shared by later calls;
+    a later cap below the kept number of configurations raises.
     """
-    graph = bs.configuration_graph(limits)
+    if bs._stop_of is not None and len(bs._configs) <= limits.max_configs:
+        return bs._stop_of
+    graph = bs.configuration_graph(limits)  # a cap below the kept count raises
     if bs._stop_of is None:
         vis = bs.visible
         stopping = {x & vis.source.events for x, ext in graph.items()

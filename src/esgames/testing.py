@@ -37,6 +37,9 @@ class Verdict(namedtuple("Verdict", "passed witness", defaults=[None])):
         return self.passed
 
 
+# the verdicts without a witness, shared by every run that returns one
+_PASSED, _FAILED = Verdict(True), Verdict(False)
+
 # ---- traces ------------------------------------------------------------------------
 
 
@@ -125,16 +128,19 @@ def _check_test_shape(subject, test):
     if subject.A.events:
         raise GameMismatch("test subjects play in a single game",
                            left=subject.A)
-    if test.B != success_game():
+    tick = success_game()
+    if test.B is not tick and test.B != tick:
         raise GameMismatch("a test must target the success game", right=test.B)
-    # a shared test meets many subjects over equal but distinct games: each
-    # game object is compared once, as long as it is the last one met
-    game = subject.B
-    if test._matched_game is not game:
-        if test.A != game:
+    # the tests of one enumeration share one game object, and a synthesised
+    # test plays in the game of the strategy it was built against: the
+    # subject keeps the last test game found equal to its own, so subjects
+    # over equal games built apart, taking turns on one test, each compare
+    # the game about once
+    if subject._matched_game is not test.A:
+        if test.A != subject.B:
             raise GameMismatch("subject and test play different games",
-                               left=game, right=test.A)
-        test._matched_game = game
+                               left=subject.B, right=test.A)
+        subject._matched_game = test.A
 
 
 def _ticks(bs, y):
@@ -208,7 +214,7 @@ def may_pass(subject, test, limits=DEFAULT_LIMITS):
     _check_test_shape(sub, test)
     runs = _may_runs(test, limits)
     wit = _first_glued(runs, sub.configurations_by_image(limits))
-    return Verdict(wit is not None, wit)
+    return _FAILED if wit is None else Verdict(True, wit)
 
 
 def must_pass(subject, test, limits=DEFAULT_LIMITS):
@@ -222,7 +228,7 @@ def must_pass(subject, test, limits=DEFAULT_LIMITS):
     _check_test_shape(sub.strat, test)
     tstop = stop_of(test, limits)
     wit = _first_glued(_must_runs(tstop), sub.stopping_by_image())
-    return Verdict(wit is None, wit)
+    return _PASSED if wit is None else Verdict(False, wit)
 
 
 # ---- the two preorders ---------------------------------------------------------------
@@ -450,17 +456,15 @@ def enumerate_tests(g, max_events=4, bare=False):
         raise BadArgument(f"max_events must be an int of at least 0, not"
                           f" {max_events!r}", max_events=max_events)
     key = g, max_events, bare
-    found = _kept.get(key)
+    found = _kept.pop(key, None)
     if found is None:
         pol = dual(g).pol
-        found = _kept[key] = tuple(
-            t for combo in _combos(g, max_events, bare)
-            for t in _skeletons(g, pol, combo))
-        held = sum(map(len, _kept.values()))
-        while held > _KEPT_TESTS and len(_kept) > 1:
+        found = tuple(t for combo in _combos(g, max_events, bare)
+                      for t in _skeletons(g, pol, combo))
+        held = len(found) + sum(map(len, _kept.values()))
+        while held > _KEPT_TESTS and _kept:
             held -= len(_kept.popitem(last=False)[1])
-    else:
-        _kept.move_to_end(key)
+    _kept[key] = found  # the most recently used
     return list(found)
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from esgames.errors import BadArgument, PolarityMismatch
+from esgames.fileformat import parse, print_workspace
 from esgames.games import (
     EMPTY,
     MINUS,
@@ -48,6 +49,24 @@ def test_polarity_must_cover_events():
         Polarised(es, {"a": PLUS, "b": "?"})
     with pytest.raises(PolarityMismatch):
         game(es, {"a": PLUS, "b": NEUTRAL})
+
+
+def test_equal_games_built_apart_hash_alike():
+    def built():
+        return game(event_structure(["a", "b", "c"], [("a", "b")],
+                                    [("b", "c")]),
+                    {"a": MINUS, "b": PLUS, "c": PLUS})
+
+    text = ("game G {\n  event a -;\n  event b +;\n  event c +;\n"
+            "  cause a < b;\n  conflict b ~ c;\n}\n")
+    parsed = parse(text).get("G").obj
+    reparsed = parse(print_workspace(parse(text))).get("G").obj
+    first, second = built(), built()
+    assert first.es is not second.es
+    games = (first, second, parsed, reparsed)
+    for g in games:
+        assert g == first and hash(g) == hash(first)
+    assert {first: "kept"}[reparsed] == "kept"
 
 
 def test_dual_is_an_involution():

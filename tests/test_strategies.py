@@ -54,6 +54,7 @@ from esgames.testing import (
     finite_traces,
     may_pass,
     may_preorder,
+    must_pass,
     success_game,
     synthesize_may_test,
 )
@@ -436,7 +437,8 @@ def test_a_smaller_cap_on_a_later_read_raises_and_the_count_reads_the_kept():
     for read in (subject.configurations, subject.configurations_by_image,
                  lambda limits: stop_of(subject, limits),
                  lambda limits: finite_traces(subject, limits),
-                 lambda limits: may_pass(subject, test, limits)):
+                 lambda limits: may_pass(subject, test, limits),
+                 lambda limits: must_pass(subject, test, limits)):
         with pytest.raises(SizeBoundExceeded) as e:
             read(EngineLimits(max_configs=n - 1))
         assert e.value.data == {"cap": n - 1}

@@ -19,6 +19,7 @@ from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.randgen import random_game, random_in_game_strategy, random_stopping
 from esgames.strategies import (
     StoppingStrategy,
+    bare_strategy,
     copycat_strategy,
     in_game_strategy,
     saturate_stopping,
@@ -698,6 +699,76 @@ def test_a_test_compares_a_game_object_once(monkeypatch):
     compared.clear()
     must_pass(subject, test)
     assert compared == []
+
+
+def test_subjects_over_equal_games_compare_the_game_once_each(monkeypatch):
+    # how holding pairs run against a pool: two subjects over equal games
+    # built apart take turns on every test of one enumeration
+    g0, g1, g2 = (game(event_structure(["a", "b"], [("a", "b")]),
+                       {"a": MINUS, "b": PLUS}) for _ in range(3))
+    rng = random.Random(5)
+    subjects = [random_stopping(rng, random_in_game_strategy(rng, g))
+                for g in (g1, g2)]
+    tests = enumerate_tests(g0, 3, bare=True)
+    compared = []
+    original = EventStructure.__eq__
+
+    def counted(self, other):
+        if self is not other:
+            compared.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(EventStructure, "__eq__", counted)
+    for t in tests:
+        for sub in subjects:
+            for run in (must_pass, may_pass):
+                run(sub, t)
+    assert [sum(1 for pair in compared if any(es is g.es for es in pair))
+            for g in (g1, g2)] == [1, 1]
+
+
+def test_a_run_checks_its_arguments_in_order():
+    relay, press_c, probe = fx.relay_b2_to_c(), fx.press_c(), fx.tick2_probe()
+    stopping_test = stop_of(probe)
+    off_target = fx.press_b2()  # into the buttons, not the success game
+    cases = [
+        (relay, stopping_test, BadArgument,
+         "a test is a bare strategy into the success game, not"
+         " StoppingStrategy", {"test": stopping_test}),
+        (relay, off_target, GameMismatch,
+         "test subjects play in a single game", {"left": relay.A}),
+        (press_c, off_target, GameMismatch,
+         "a test must target the success game", {"right": off_target.B}),
+        (press_c, probe, GameMismatch, "subject and test play different games",
+         {"left": press_c.B, "right": probe.A}),
+    ]
+    for runner in (may_pass, must_pass):
+        for subject, test, error, text, data in cases:
+            with pytest.raises(error) as err:
+                runner(subject, test)
+            assert str(err.value) == text and err.value.data == data
+
+
+def test_a_subject_that_met_one_game_refuses_another():
+    subject, probe = fx.press_b2(), fx.tick2_probe()
+    other = enumerate_tests(fx.click(), 2)[0]
+    for runner in (may_pass, must_pass):
+        verdict = runner(subject, probe)
+        with pytest.raises(GameMismatch) as err:
+            runner(subject, other)
+        assert err.value.data == {"left": subject.B, "right": other.A}
+        assert runner(subject, probe) == verdict
+
+
+def test_a_test_into_a_success_game_built_apart_runs_alike():
+    tick = game(event_structure([TICK]), {TICK: PLUS})
+    assert tick == success_game() and tick is not success_game()
+    subjects = [fx.press_b2(), fx.press_either(), saturate_stopping(fx.press_b2())]
+    for t in enumerate_tests(fx.buttons(), 2, bare=True):
+        apart = bare_strategy(t.source, t.A, t.N, tick, t.sigma.mapping)
+        for sub in subjects:
+            assert may_pass(sub, apart) == may_pass(sub, t)
+            assert must_pass(sub, apart) == must_pass(sub, t)
 
 
 def test_preorders_and_synthesis_refuse_what_is_not_over_their_game():
