@@ -1,6 +1,6 @@
 """Polarity, games, duality, parallel composition, and the copycat construction."""
 
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
 
 from .errors import BadArgument, PolarityMismatch
@@ -32,7 +32,6 @@ class Polarised:
         self.es = es
         self.pol = pol
         self.name = name or es.name
-        self._hash = None
 
     # frequently used views on the underlying structure
     @property
@@ -73,9 +72,11 @@ class Polarised:
         return self.es == other.es and self.pol == other.pol
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.es, frozenset(self.pol.items())))
         return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.es, frozenset(self.pol.items())))
 
     def __repr__(self):
         nm = self.name or "polarised"

@@ -7,7 +7,8 @@ lift uniquely) and innocent in both directions. A strategy is the special case
 with no neutral events anywhere; every strategy is kept in the same three
 component typing with an empty middle, so target tags are uniformly
 (1, a) for the dual side, (2, n) for the middle and (3, b) for the B side.
-A bare strategy keeps its configuration graph; stop_of and the checks read it.
+Kept data: BareStrategy.configurations(limits) is the one cap-bound root; all
+else kept is a cached_property read after its check, bar the matches_b memo.
 """
 
 import weakref
@@ -34,6 +35,7 @@ from .games import (
     MINUS,
     NEUTRAL,
     PLUS,
+    TICK,
     copycat,
     dual,
     no_plus_extension,
@@ -62,10 +64,7 @@ class BareStrategy:
             self.target = _targets[key] = parallel(dual(game_a), middle, game_b)
         self.sigma = ESMap(source.es, self.target.es, assign)
         self._configs = self._graph = None  # configurations(), with extensions
-        self._stop_of = None  # stop_of(self)
-        self._by_image = None  # configurations_by_image()
-        self._may_runs = None  # testing's table of ticking runs
-        self._matched_game = None  # testing: the last test game found equal to B
+        self._matched = None  # matches_b: the last game found equal to B
 
     @cached_property
     def is_strategy(self):
@@ -114,15 +113,15 @@ class BareStrategy:
         return tuple((b, mask) for b, mask in edges if mask)
 
     def configurations(self, limits=DEFAULT_LIMITS):
-        """Source configurations, smallest first, as a tuple; derived once
-        per strategy, with their extensions. A later cap below their number
-        raises from the kept count."""
-        if self._configs is None:
+        """Source configurations, smallest first, as a tuple: the root of
+        what a strategy keeps, derived once with their extensions. A later
+        cap below their number raises from the kept count."""
+        if (configs := self._configs) is None:
             self._graph = self.source.es.configuration_graph(limits)
-            self._configs = tuple(self._graph)
-        elif len(self._configs) > limits.max_configs:
+            configs = self._configs = tuple(self._graph)
+        elif len(configs) > limits.max_configs:
             raise over_cap(limits.max_configs, "configurations")
-        return self._configs
+        return configs
 
     def configuration_graph(self, limits=DEFAULT_LIMITS):
         """Each source configuration mapped to its extensions; kept."""
@@ -131,12 +130,31 @@ class BareStrategy:
 
     def configurations_by_image(self, limits=DEFAULT_LIMITS):
         """Source configurations grouped by their image on B, each group
-        smallest first, as pairs (x, x's order_on B); derived once per
-        strategy."""
-        configs = self.configurations(limits)
-        if self._by_image is None:
-            self._by_image = _group_by_image(self, configs)
+        smallest first, as pairs (x, x's order_on B)."""
+        self.configurations(limits)
         return self._by_image
+
+    @cached_property
+    def _by_image(self):
+        return _group_by_image(self, self._configs)
+
+    @cached_property
+    def _stop(self):
+        maximal = (x for x, ext in self._graph.items()
+                   if no_plus_extension(self.source, ext))
+        return _stopped_visible(self, maximal, self.name and f"st({self.name})")
+
+    @cached_property
+    def ticking_runs(self):
+        """A test's runs that reach success, once configurations() ran."""
+        return _runs(self, self._configs, True)
+
+    def matches_b(self, game):
+        """Whether game equals B; the last game found equal is kept."""
+        if game is not self._matched and game != self.B:
+            return False
+        self._matched = game
+        return True
 
     def __repr__(self):
         nm = self.name or "bare"
@@ -150,6 +168,13 @@ def _group_by_image(bs, configs):
         groups.setdefault(bs.image_on(3, x), []).append(
             (x, bs.order_on(3, x)))
     return {b: tuple(xs) for b, xs in groups.items()}
+
+
+def _runs(bs, configs, ticking):
+    """(image on A, y, y's order_on A) for each y of configs that plays the
+    success move or, with ticking false, does not; in the order of configs."""
+    return tuple((bs.image_on(1, y), y, bs.order_on(1, y)) for y in configs
+                 if ((3, TICK) in map(bs.sigma.mapping.__getitem__, y)) == ticking)
 
 
 def bare_strategy(source, game_a, middle, game_b, assign, name="",
@@ -291,31 +316,51 @@ class StoppingStrategy:
                 f"stopping member {sortedevents(x)} is not a configuration",
                 member=x) for x in bad])
         self.stopping = stopping
-        self._sorted = None
-        self._by_image = None
-        self._must_runs = None  # testing's table of non-ticking runs
+
+    @property
+    def visible(self):
+        """Cut to the strategy's visible part; self when it is a strategy."""
+        return self if self.strat.is_strategy else self._hidden
+
+    @cached_property
+    def _hidden(self):
+        return _stopped_visible(self.strat, self.stopping, self.name)
 
     def sorted_stopping(self):
         """The stopping configurations, smallest first, as a tuple."""
-        if self._sorted is None:
-            self._sorted = tuple(sorted(
-                self.stopping, key=self.strat.source.es.config_key))
         return self._sorted
 
     def stopping_by_image(self):
         """The stopping configurations grouped by their image on B, each
         group smallest first, as pairs (x, x's order_on B)."""
-        if self._by_image is None:
-            self._by_image = _group_by_image(self.strat, self.sorted_stopping())
         return self._by_image
+
+    @cached_property
+    def _sorted(self):
+        return tuple(sorted(self.stopping, key=self.strat.source.es.config_key))
+
+    @cached_property
+    def _by_image(self):
+        return _group_by_image(self.strat, self._sorted)
+
+    @cached_property
+    def nonticking_runs(self):
+        """A stopping test's runs that miss success; see _runs."""
+        return _runs(self.strat, self._sorted, False)
 
     def __repr__(self):
         nm = self.name or "stopping"
         return f"<{nm}: {len(self.stopping)} stopping configurations>"
 
 
+def _stopped_visible(bs, stopping, name):
+    """bs's visible part, stopped at the visible events of each member."""
+    vis = bs.visible
+    return StoppingStrategy(vis, (x & vis.source.events for x in stopping), name=name)
+
+
 def stop_of(bs, limits=DEFAULT_LIMITS):
-    """Visible part plus the visible images of the maximal bare configurations.
+    """The visible part of bs stopped at its maximal configurations.
 
     A configuration counts as maximal when it has no Player or neutral
     extension. For a source without neutral events this is exactly the set of
@@ -323,16 +368,8 @@ def stop_of(bs, limits=DEFAULT_LIMITS):
     The result is derived once per bare strategy, and shared by later calls;
     a later cap below the kept number of configurations raises.
     """
-    if bs._stop_of is not None and len(bs._configs) <= limits.max_configs:
-        return bs._stop_of
-    graph = bs.configuration_graph(limits)  # a cap below the kept count raises
-    if bs._stop_of is None:
-        vis = bs.visible
-        stopping = {x & vis.source.events for x, ext in graph.items()
-                    if no_plus_extension(bs.source, ext)}
-        bs._stop_of = StoppingStrategy(vis, stopping,
-                                       name=f"st({bs.name})" if bs.name else "")
-    return bs._stop_of
+    bs.configurations(limits)
+    return bs._stop
 
 
 def saturate_stopping(st, limits=DEFAULT_LIMITS):

@@ -15,6 +15,7 @@ games.copycat.
 """
 
 from collections import Counter, namedtuple
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -74,9 +75,6 @@ class EventStructure:
         self.rank = {e: i for i, e in enumerate(self.ordered)}
         self.events = frozenset(self.ordered)
         self._below = {e: frozenset(below[e]) for e in self.ordered}
-        self._above = None
-        self._immediate = None
-        self._hash = None
         self.maxcons = tuple(sorted(maxcons, key=self.config_key))
 
     def config_key(self, x):
@@ -95,15 +93,17 @@ class EventStructure:
         return self.below(e) - {e}
 
     def above(self, e):
-        if self._above is None:
-            ab = {f: set() for f in self.events}
-            for f in self.events:
-                for d in self._below[f]:
-                    ab[d].add(f)
-            self._above = {f: frozenset(s) for f, s in ab.items()}
         if e not in self._above:
             raise UnknownEvent(f"unknown event {e!r}", event=e)
         return self._above[e]
+
+    @cached_property
+    def _above(self):
+        ab = {f: set() for f in self.events}
+        for f in self.events:
+            for d in self._below[f]:
+                ab[d].add(f)
+        return {f: frozenset(s) for f, s in ab.items()}
 
     def leq(self, a, b):
         return a in self.below(b)
@@ -116,15 +116,17 @@ class EventStructure:
 
     def immediate_pairs(self):
         """Cover pairs (a, b): a < b with nothing strictly between."""
-        if self._immediate is None:
-            pairs = set()
-            for b in self.events:
-                preds = self.strict_below(b)
-                for a in preds:
-                    if not any(a in self._below[c] - {c} for c in preds):
-                        pairs.add((a, b))
-            self._immediate = frozenset(pairs)
         return self._immediate
+
+    @cached_property
+    def _immediate(self):
+        pairs = set()
+        for b in self.events:
+            preds = self.strict_below(b)
+            for a in preds:
+                if not any(a in self._below[c] - {c} for c in preds):
+                    pairs.add((a, b))
+        return frozenset(pairs)
 
     def concurrent_pairs(self):
         out = set()
@@ -224,11 +226,12 @@ class EventStructure:
                 and set(self.maxcons) == set(other.maxcons))
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.events,
-                               frozenset(self._below.items()),
-                               frozenset(self.maxcons)))
         return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.events, frozenset(self._below.items()),
+                     frozenset(self.maxcons)))
 
     def __repr__(self):
         nm = self.name or "es"

@@ -23,7 +23,7 @@ from .games import (MINUS, NEUTRAL, PLUS, TICK, Polarised, component, dual,
                     payload, success_game)
 from .limits import DEFAULT_LIMITS, over_cap
 from .strategies import (BareStrategy, StoppingStrategy, bare_strategy,
-                         stop_of, strategy)
+                         stop_of, strategy, strategy_of)
 from .structures import (EventStructure, ekey, event_structure,
                          inherited_conflicts, maximal_consistent_sets,
                          reflexive_closures, sortedevents)
@@ -39,6 +39,7 @@ class Verdict(namedtuple("Verdict", "passed witness", defaults=[None])):
 
 # the verdicts without a witness, shared by every run that returns one
 _PASSED, _FAILED = Verdict(True), Verdict(False)
+_SUCCESS = success_game()  # the game every test targets
 
 # ---- traces ------------------------------------------------------------------------
 
@@ -99,77 +100,31 @@ def _trace_index(sigma, configs, limits):
 
 def finite_traces(sigma, limits=DEFAULT_LIMITS):
     """Traces of every finite configuration; prefix-closed by construction."""
-    sigma = _visible(sigma)
+    sigma = strategy_of(sigma).visible
     return frozenset(_trace_index(sigma, sigma.configurations(limits), limits))
 
 
 def stopping_traces(s, limits=DEFAULT_LIMITS):
     """Traces of the stopping configurations only."""
+    s = s.visible
     return frozenset(_trace_index(s.strat, s.sorted_stopping(), limits))
 
 
-def _visible(s):
-    return s.strat if isinstance(s, StoppingStrategy) else s.visible
-
-
 # ---- running tests -----------------------------------------------------------------
-
-
-def _as_stopping(subject, limits):
-    if isinstance(subject, StoppingStrategy):
-        return subject
-    return stop_of(subject, limits)
 
 
 def _check_test_shape(subject, test):
     if not isinstance(test, BareStrategy):
         raise BadArgument("a test is a bare strategy into the success game,"
                           f" not {type(test).__name__}", test=test)
-    if subject.A.events:
+    if subject.A.es.events:
         raise GameMismatch("test subjects play in a single game",
                            left=subject.A)
-    tick = success_game()
-    if test.B is not tick and test.B != tick:
+    if test.B is not _SUCCESS and test.B != _SUCCESS:
         raise GameMismatch("a test must target the success game", right=test.B)
-    # the tests of one enumeration share one game object, and a synthesised
-    # test plays in the game of the strategy it was built against: the
-    # subject keeps the last test game found equal to its own, so subjects
-    # over equal games built apart, taking turns on one test, each compare
-    # the game about once
-    if subject._matched_game is not test.A:
-        if test.A != subject.B:
-            raise GameMismatch("subject and test play different games",
-                               left=subject.B, right=test.A)
-        subject._matched_game = test.A
-
-
-def _ticks(bs, y):
-    return any(bs.assigned(t) == (3, TICK) for t in y)
-
-
-def _runs(t, configs, ticking):
-    """(image on the game, y, y's order_on the game) for each y of configs
-    that reaches the success move or, with ticking false, does not; in the
-    order of configs."""
-    return tuple((t.image_on(1, y), y, t.order_on(1, y)) for y in configs
-                 if _ticks(t, y) == ticking)
-
-
-def _may_runs(test, limits):
-    """The test's ticking runs, kept on the test."""
-    tvis = test.visible
-    configs = tvis.configurations(limits)
-    if test._may_runs is None:
-        test._may_runs = _runs(tvis, configs, True)
-    return test._may_runs
-
-
-def _must_runs(tstop):
-    """The non-ticking runs of the test's stopping configurations; kept on
-    the stopping strategy."""
-    if tstop._must_runs is None:
-        tstop._must_runs = _runs(tstop.strat, tstop.sorted_stopping(), False)
-    return tstop._must_runs
+    if not subject.matches_b(test.A):
+        raise GameMismatch("subject and test play different games",
+                           left=subject.B, right=test.A)
 
 
 def _acyclic(p, q):
@@ -210,24 +165,26 @@ def may_pass(subject, test, limits=DEFAULT_LIMITS):
     The test's ticking configurations are tried in configuration order, so
     the witness is the least such pairing.
     """
-    sub = _visible(subject)
+    sub = strategy_of(subject).visible
     _check_test_shape(sub, test)
-    runs = _may_runs(test, limits)
-    wit = _first_glued(runs, sub.configurations_by_image(limits))
+    tvis = test.visible
+    tvis.configurations(limits)
+    wit = _first_glued(tvis.ticking_runs, sub.configurations_by_image(limits))
     return _FAILED if wit is None else Verdict(True, wit)
 
 
 def must_pass(subject, test, limits=DEFAULT_LIMITS):
     """Every stopping pairing reaches the success move.
 
-    Both sides are taken at their stopping sets; the test's is derived with
-    stop_of. The least pairing of stopping configurations whose test half
-    lacks the success move is the returned counterexample.
+    Both sides are taken at their visible stopping sets; the test's is
+    derived with stop_of. The least pairing of stopping configurations whose
+    test half lacks the success move is the returned counterexample.
     """
-    sub = _as_stopping(subject, limits)
+    sub = (subject.visible if isinstance(subject, StoppingStrategy)
+           else stop_of(subject, limits))
     _check_test_shape(sub.strat, test)
-    tstop = stop_of(test, limits)
-    wit = _first_glued(_must_runs(tstop), sub.stopping_by_image())
+    wit = _first_glued(stop_of(test, limits).nonticking_runs,
+                       sub.stopping_by_image())
     return _PASSED if wit is None else Verdict(False, wit)
 
 
@@ -254,7 +211,7 @@ def _least_gap(index, others):
 
 def may_preorder(sigma1, sigma2, limits=DEFAULT_LIMITS):
     """Trace inclusion; holds iff sigma2 may-passes every test sigma1 does."""
-    v1, v2 = _visible(sigma1), _visible(sigma2)
+    v1, v2 = strategy_of(sigma1).visible, strategy_of(sigma2).visible
     _require_same_game(v1, v2)
     index = _trace_index(v1, v1.configurations(limits), limits)
     gap = _least_gap(index, finite_traces(v2, limits))
@@ -265,6 +222,7 @@ def must_preorder(s1, s2, limits=DEFAULT_LIMITS):
     """Stopping-trace inclusion; holds iff every test s2 must-passes, s1 does."""
     if not (isinstance(s1, StoppingStrategy) and isinstance(s2, StoppingStrategy)):
         raise GameMismatch("the must preorder compares stopping strategies")
+    s1, s2 = s1.visible, s2.visible
     _require_same_game(s1.strat, s2.strat)
     index = _trace_index(s1.strat, s1.sorted_stopping(), limits)
     gap = _least_gap(index, stopping_traces(s2, limits))
@@ -375,7 +333,7 @@ def synthesize_may_test(sigma2, gap, limits=DEFAULT_LIMITS):
     success move enabled once all of the trace's swapped-to-Opponent moves are
     in.
     """
-    v2 = _visible(sigma2)
+    v2 = strategy_of(sigma2).visible
     g, t1, t1p, causes, conflicts, pols = _replay(
         v2, gap, lambda: v2.configurations(limits),
         "the trace is one of sigma2's own", limits)
@@ -401,6 +359,7 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
     """
     if not isinstance(s2, StoppingStrategy):
         raise GameMismatch("must synthesis runs against a stopping strategy")
+    s2 = s2.visible
     g, t1, t1p, causes, conflicts, pols = _replay(
         s2.strat, gap, s2.sorted_stopping,
         "the trace is one of s2's stopping traces", limits)

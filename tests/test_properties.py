@@ -4,19 +4,26 @@ Hypothesis drives the seeds; the generators in randgen turn a seed into
 games and strategies deterministically, so every failure replays.
 """
 
+import gc
 import inspect
+import operator
 import random
-from collections import Counter
+import weakref
+from collections import Counter, OrderedDict
 from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 precondition, rule)
 
+from esgames import cli, strategies, testing
 from esgames import fixtures as fx
 from esgames.errors import (
     Cycle,
     CycleInCause,
+    EsgError,
     ImageMismatch,
     InvalidStructure,
     NotAConfiguration,
@@ -47,12 +54,14 @@ from esgames.interaction import (
     enumerate_secured_bijections,
     glue,
     interact,
+    interact_stopping,
     pair_configs,
     prime_event,
     prime_top,
     secured_bijection,
 )
-from esgames.limits import EngineLimits
+from esgames.fileformat import Workspace, parse, print_workspace
+from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.randgen import (
     _random_source,
     _target_shape,
@@ -70,6 +79,7 @@ from esgames.strategies import (
     copycat_strategy,
     saturate_stopping,
     stop_of,
+    strategy_of,
     validate_bare_strategy,
     validate_two_cell,
     visible_part,
@@ -97,9 +107,13 @@ from esgames.testing import (
     enumerate_tests,
     finite_traces,
     may_pass,
+    may_preorder,
     must_pass,
+    must_preorder,
     stopping_traces,
     success_game,
+    synthesize_may_test,
+    synthesize_must_test,
     traces_of,
 )
 
@@ -1011,3 +1025,249 @@ def test_plus_reflection_matches_the_definition_on_fixtures():
     got = [assert_plus_reflection_matches_the_definition(*cell)
            for cell in cells]
     assert got == [True, False, True, False]
+
+
+# ---- preorders on interactions, which keep their middle as neutral events -----------
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_preorders_on_interactions_agree_with_their_tests(seed):
+    # the preorders read a stopping strategy over a bare one through its
+    # visible part: no gap holds a hidden move, a preorder that holds
+    # includes the budget-3 tests, and one that fails is separated by the
+    # test synthesised from its gap
+    rng = random.Random(seed)
+    b, c = random_game(rng, 2), random_game(rng, 2)
+    subjects = []
+    for _ in range(2):
+        s = random_stopping(rng, random_in_game_strategy(rng, b))
+        draw = random_bare if rng.random() < 0.5 else random_strategy
+        t = random_stopping(rng, draw(rng, b, c))
+        subjects.append(interact_stopping(s, t))
+        assert must_preorder(subjects[-1], compose_stopping(s, t))[0]
+        assert may_preorder(compose_stopping(s, t), subjects[-1])[0]
+    p1, p2 = subjects
+    tests = enumerate_tests(c, 3, bare=True)
+    for preorder, run, synthesize, passing, other in (
+            (may_preorder, may_pass, synthesize_may_test, p1, p2),
+            (must_preorder, must_pass, synthesize_must_test, p2, p1)):
+        holds, gap = preorder(p1, p2)
+        if holds:
+            assert all(run(other, t).passed for t in tests
+                       if run(passing, t).passed)
+            continue
+        assert all(j == 3 and e in c.events for j, e in gap[1])
+        t = synthesize(p2, gap)
+        assert run(passing, t).passed and not run(other, t).passed
+
+
+# ---- warm answers equal cold answers -------------------------------------------------
+
+
+CAPS = (0, 1, 2, 3, 5, None)  # None: the default limits
+READERS = (BareStrategy.configurations, BareStrategy.configurations_by_image,
+           stop_of)
+
+
+def limits_of(cap):
+    return DEFAULT_LIMITS if cap is None else EngineLimits(max_configs=cap)
+
+
+def as_value(x):
+    """An answer as a value shared by objects parsed apart from one text."""
+    if isinstance(x, StoppingStrategy):
+        return "stopping", as_value(x.strat), x.stopping
+    if isinstance(x, BareStrategy):
+        return (x.source, x.A, x.N, x.B,
+                frozenset(x.sigma.mapping.items()))
+    if isinstance(x, list):
+        return tuple(map(as_value, x))
+    return x
+
+
+def outcome(call):
+    """call()'s result, or None when it raised, and its answer as a value:
+    an error as its type, its text and its data."""
+    try:
+        got = call()
+    except EsgError as err:
+        return None, (type(err), str(err), err.data)
+    return got, as_value(got)
+
+
+def cold_copy(s):
+    """s built again with nothing derived on it: parsing validates, and so
+    walks a strategy's configurations."""
+    if isinstance(s, StoppingStrategy):
+        return StoppingStrategy(cold_copy(s.strat), s.stopping, name=s.name)
+    return BareStrategy(s.source, s.A, s.N, s.B, s.sigma.mapping, name=s.name)
+
+
+def rebuild(recipe, ws):
+    """The object a recipe names, built cold from the workspace ws."""
+    kind, *args = recipe
+    if kind == "def":
+        return cold_copy(ws.get(args[0]).obj)
+    if kind == "test":
+        game_name, max_events, bare, i = args
+        return cold_copy(enumerate_tests(ws.get(game_name).obj, max_events,
+                                         bare)[i])
+    if kind == "stop_of":
+        return stop_of(strategy_of(rebuild(args[0], ws)))
+    pairing = interact if kind == "interact" else compose
+    return pairing(*(strategy_of(rebuild(r, ws)) for r in args))
+
+
+class KeptDataMachine(RuleBasedStateMachine):
+    """Every kept table read in every order: each answer on the working
+    objects, warm from earlier calls, equals the answer on cold objects
+    parsed from the same text with the module tables cleared. The working
+    objects come from two parses of one text, so equal games built apart
+    meet; the second parse's strategies are cold copies, whose first
+    configuration walk may run under any cap. Kept enumerations are capped
+    low, and follow a model of their least-recently-used table."""
+
+    def __init__(self):
+        super().__init__()
+        # objects earlier tests built stay out of the collections below
+        gc.freeze()
+        self.saved = OrderedDict(testing._kept), testing._KEPT_TESTS
+        testing._kept.clear()
+        testing._KEPT_TESTS = 8
+        self.lru = OrderedDict()  # key -> number of tests, oldest first
+        self.last = {}  # key -> the tests of its last enumeration
+        self.items, self.tests = [], []  # (recipe, working object)
+        self.asked = []  # the enumerations asked for, oldest first
+
+    def teardown(self):
+        kept, testing._KEPT_TESTS = self.saved
+        testing._kept.clear()
+        testing._kept.update(kept)
+        gc.unfreeze()
+
+    @initialize(seed=seeds)
+    def parse_a_text(self, seed):
+        rng = random.Random(seed)
+        b, c = random_game(rng, 2), random_game(rng, 2)
+        s = random_in_game_strategy(rng, b)
+        bare = random_bare(rng, EMPTY, b, min_neutrals=1)
+        tau = (random_bare if rng.random() < 0.5 else random_strategy)(
+            rng, b, c)
+        out = cli._Out(Workspace())
+        out.strategy_def(s, "s")
+        out.stopping_def(random_stopping(rng, s), "s_st")
+        out.stopping_def(random_stopping(rng, bare), "bare_st")
+        out.strategy_def(tau, "tau")
+        self.text = print_workspace(out.ws)
+        self.games = []
+        for copy in (lambda s: s, cold_copy):
+            ws = parse(self.text)
+            self.games += [(d.name, d.obj) for d in ws if d.kind == "game"]
+            self.items += [(("def", name), copy(ws.get(name).obj))
+                           for name in ("s", "s_st", "bare_st", "tau")]
+
+    def same_cold(self, warm, cold):
+        """warm(), on the working objects, answers as cold(ws) does on a
+        fresh parse ws of the text with the module tables cleared; returns
+        warm's result, or None when it raised."""
+        got, seen = outcome(warm)
+        kept, targets = OrderedDict(testing._kept), strategies._targets
+        testing._kept.clear()
+        strategies._targets = weakref.WeakValueDictionary()
+        try:
+            fresh = parse(self.text)
+            _, want = outcome(lambda: cold(fresh))
+        finally:
+            testing._kept.clear()
+            testing._kept.update(kept)
+            strategies._targets = targets
+        assert seen == want
+        return got
+
+    @rule(i=st.integers(0, 99), max_events=st.integers(1, 3),
+          bare=st.booleans())
+    def enumerate_over(self, i, max_events, bare):
+        name, g = self.games[i % len(self.games)]
+        key = g, max_events, bare
+        tests = enumerate_tests(g, max_events, bare)
+        kept = key in self.lru
+        if tests:  # a kept enumeration hands out the same test objects
+            assert kept == (tests[0] is self.last.get(key, [None])[0])
+        if not kept:
+            self.lru[key] = len(tests)
+            while sum(self.lru.values()) > testing._KEPT_TESTS \
+                    and len(self.lru) > 1:
+                self.lru.popitem(last=False)
+        self.lru.move_to_end(key)
+        # the newest enumeration always stays
+        assert all(map(operator.is_, enumerate_tests(g, max_events, bare),
+                       tests))
+        self.last[key] = tests
+        self.asked.append((i, max_events, bare))
+        self.same_cold(lambda: tests, lambda ws: enumerate_tests(
+            ws.get(name).obj, max_events, bare))
+        picks = {0, len(tests) // 2, len(tests) - 1} if tests else ()
+        self.tests += [(("test", name, max_events, bare, j), tests[j])
+                       for j in sorted(picks)]
+
+    @rule(back=st.integers(1, 3))
+    @precondition(lambda self: self.asked)
+    def enumerate_again(self, back):
+        self.enumerate_over(*self.asked[-min(back, len(self.asked))])
+
+    @rule(i=st.integers(0, 99), j=st.integers(0, 99),
+          cap=st.sampled_from(CAPS), must=st.booleans())
+    @precondition(lambda self: self.tests)
+    def run(self, i, j, cap, must):
+        (rs, sub), (rt, test) = (self.items[i % len(self.items)],
+                                 self.tests[j % len(self.tests)])
+        runner = must_pass if must else may_pass
+        for _ in range(2):  # the second run reads what the first kept
+            self.same_cold(lambda: runner(sub, test, limits_of(cap)),
+                           lambda ws: runner(rebuild(rs, ws), rebuild(rt, ws),
+                                             limits_of(cap)))
+
+    @rule(i=st.integers(0, 99), cap=st.sampled_from(CAPS),
+          reader=st.sampled_from(READERS))
+    def read(self, i, cap, reader):
+        recipe, obj = self.items[i % len(self.items)]
+        got = self.same_cold(
+            lambda: reader(strategy_of(obj), limits_of(cap)),
+            lambda ws: reader(strategy_of(rebuild(recipe, ws)),
+                              limits_of(cap)))
+        if reader is stop_of and got is not None:
+            self.keep(("stop_of", recipe), got)
+
+    @rule(i=st.integers(0, 99), j=st.integers(0, 99),
+          cap=st.sampled_from(CAPS), hide=st.booleans())
+    def pair(self, i, j, cap, hide):
+        # the second strategy from one of those that leave the empty game
+        onward = [it for it in self.items if strategy_of(it[1]).A.events]
+        (r1, s1), (r2, s2) = (self.items[i % len(self.items)],
+                              onward[j % len(onward)])
+        kind, pairing = ("compose", compose) if hide else \
+            ("interact", interact)
+        got = self.same_cold(
+            lambda: pairing(strategy_of(s1), strategy_of(s2), limits_of(cap)),
+            lambda ws: pairing(strategy_of(rebuild(r1, ws)),
+                               strategy_of(rebuild(r2, ws)), limits_of(cap)))
+        if got is not None:
+            self.keep((kind, r1, r2), got)
+
+    def keep(self, recipe, made):
+        if len(self.items) < 24:
+            self.items.append((recipe, made))
+
+    @rule(i=st.integers(0, 99))
+    def drop_and_collect(self, i):
+        # a derived item goes; gc drops the weak targets no one holds
+        derived = [k for k, (r, _) in enumerate(self.items) if r[0] != "def"]
+        if derived:
+            del self.items[derived[i % len(derived)]]
+        gc.collect()
+
+
+TestKeptDataMachine = KeptDataMachine.TestCase
+TestKeptDataMachine.settings = settings(
+    max_examples=25, stateful_step_count=25, derandomize=True, deadline=None)

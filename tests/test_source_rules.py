@@ -110,6 +110,27 @@ def test_no_value_errors_raised_in_src():
     assert not found, "\n".join(found)
 
 
+def test_no_writes_to_another_objects_private_attributes_in_src():
+    # what an object keeps it writes itself, as a cached_property or in its
+    # own methods: a write from outside bypasses the owner's rule for a
+    # later, smaller cap
+    found = []
+    for path, tree in sources("src"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    isinstance(node.ctx, (ast.Store, ast.Del)):
+                owner, name = node.value, node.attr
+            elif isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) in ("setattr", "delattr") \
+                    and isinstance(node.args[1], ast.Constant):
+                owner, name = node.args[0], node.args[1].value
+            else:
+                continue
+            if name.startswith("_") and getattr(owner, "id", None) != "self":
+                found.append(f"{path}:{node.lineno}: {name}")
+    assert not found, "\n".join(found)
+
+
 def test_strategy_sources_are_enumerated_through_bare_strategy_configurations():
     # a strategy's configurations and their extensions are enumerated once
     # and kept on it: no reader but BareStrategy.configurations goes to its

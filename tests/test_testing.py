@@ -14,7 +14,7 @@ from esgames import testing
 from esgames.errors import (BadArgument, GameMismatch, NotAConfiguration,
                             NotAGap, SizeBoundExceeded)
 from esgames.games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game
-from esgames.interaction import compose_stopping
+from esgames.interaction import compose_stopping, interact_stopping
 from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.randgen import random_game, random_in_game_strategy, random_stopping
 from esgames.strategies import (
@@ -787,3 +787,24 @@ def test_both_runners_refuse_a_stopping_test_with_a_typed_error():
         with pytest.raises(BadArgument) as err:
             runner(fx.press_either(), test)
         assert err.value.data == {"test": test}
+
+
+def test_a_stopping_strategy_over_a_bare_one_is_read_through_its_visible_part():
+    # the interaction keeps the middle game's moves as neutral events; the
+    # composition hides them. Both pass the same tests, so neither preorder
+    # may find a gap, let alone one holding a hidden move
+    a, b = stop_of(fx.press_b2()), stop_of(fx.relay_b2_to_c())
+    ist, cst = interact_stopping(a, b), compose_stopping(a, b)
+    assert not ist.strat.is_strategy and cst.visible is cst
+    assert ist.visible is ist.visible
+    assert ist.visible.strat is ist.strat.visible
+    assert ist.visible.stopping == cst.stopping
+    tests = enumerate_tests(ist.strat.B, 3, bare=True)
+    assert len(tests) == 28
+    for t in tests:
+        # the witnesses too: a run pairs the visible configurations
+        assert may_pass(ist, t) == may_pass(cst, t)
+        assert must_pass(ist, t) == must_pass(cst, t)
+    for preorder in (may_preorder, must_preorder):
+        assert preorder(ist, cst) == preorder(cst, ist) == (True, None)
+    assert stopping_traces(ist) == stopping_traces(cst) == {((3, "c"),)}
