@@ -53,6 +53,11 @@ def tokenize(text):
             toks.append(("sym", "->", line, col))
             i += 2
             col += 2
+        elif (m := _ID.match(text, i)) and m.group() != "_":
+            # ASCII: another letter is unexpected; a lone _ is a symbol
+            toks.append(("id", m.group(), line, col))
+            col += len(m.group())
+            i = m.end()
         elif c in "{};:|~<.+-_":
             toks.append(("sym", c, line, col))
             i += 1
@@ -64,10 +69,6 @@ def tokenize(text):
             toks.append(("num", text[i:j], line, col))
             col += j - i
             i = j
-        elif m := _ID.match(text, i):  # ASCII: another letter is unexpected
-            toks.append(("id", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
         else:
             raise ParseError(f"unexpected character {c!r}", line, col)
     toks.append(("eof", "", line, col))
@@ -410,7 +411,7 @@ def _flat_ident(e):
 
 
 def _clean(e):
-    return isinstance(e, str) and _ID.fullmatch(e)
+    return isinstance(e, str) and e != "_" and _ID.fullmatch(e)
 
 
 def _ident(e):

@@ -7,9 +7,9 @@ sorted events throughout, so a seed pins the output exactly.
 """
 
 from .errors import InvalidStructure
-from .games import (EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game,
-                    is_race_free, no_plus_extension, parallel)
-from .strategies import StoppingStrategy, bare_strategy, strategy
+from .games import (EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game,
+                    is_race_free, no_plus_extension)
+from .strategies import StoppingStrategy, bare_strategy, shared_target, strategy
 from .structures import ekey, event_structure
 
 ATTEMPTS = 200
@@ -41,7 +41,7 @@ def random_game(rng, max_events=5, min_events=1, race_free=True, name=""):
 
 def _target_shape(A, middle, B):
     """Polarity, immediate order and conflict pairs of dual(A) || N || B."""
-    t = parallel(dual(A), middle, B)
+    t = shared_target(A, middle, B)
     return t.pol, t.es.immediate_pairs(), t.es.inconsistent_pairs()
 
 

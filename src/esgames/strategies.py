@@ -49,6 +49,15 @@ from .structures import ESMap, cfgkey, sortedevents, validate_map
 _targets = weakref.WeakValueDictionary()
 
 
+def shared_target(game_a, middle, game_b):
+    """dual(A) || N || B, one object per value of the games while held."""
+    key = game_a, middle, game_b
+    target = _targets.get(key)
+    if target is None:
+        target = _targets[key] = parallel(dual(game_a), middle, game_b)
+    return target
+
+
 class BareStrategy:
     """Holds source, games, middle and the assignment into dual(A) || N || B."""
 
@@ -58,10 +67,7 @@ class BareStrategy:
         self.A = game_a
         self.N = middle
         self.B = game_b
-        key = game_a, middle, game_b
-        self.target = _targets.get(key)
-        if self.target is None:
-            self.target = _targets[key] = parallel(dual(game_a), middle, game_b)
+        self.target = shared_target(game_a, middle, game_b)
         self.sigma = ESMap(source.es, self.target.es, assign)
         self._configs = self._graph = None  # configurations(), with extensions
         self._matched = None  # matches_b: the last game found equal to B

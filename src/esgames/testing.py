@@ -23,7 +23,7 @@ from .games import (MINUS, NEUTRAL, PLUS, TICK, Polarised, component, dual,
                     payload, success_game)
 from .limits import DEFAULT_LIMITS, over_cap
 from .strategies import (BareStrategy, StoppingStrategy, bare_strategy,
-                         stop_of, strategy, strategy_of)
+                         shared_target, stop_of, strategy, strategy_of)
 from .structures import (EventStructure, ekey, event_structure,
                          inherited_conflicts, maximal_consistent_sets,
                          reflexive_closures, sortedevents)
@@ -259,8 +259,8 @@ def _saturation(g, t1):
             if all(g.pol[b] == PLUS for b in g.es.below(a) - t1)}
 
 
-def _reversal_edges(v2, configs, t1, pos):
-    """One order-reversing edge per configuration of v2 with image t1.
+def _reversal_edges(v2, same, pos):
+    """One order-reversing edge per configuration of v2 in the group same.
 
     The chosen pair puts the image of a Player event before the image of the
     Opponent event that enables it, so the test's order disagrees with every
@@ -269,9 +269,7 @@ def _reversal_edges(v2, configs, t1, pos):
     """
     edges = set()
     immediate = v2.source.es.immediate_pairs()
-    for x2 in configs:
-        if {payload(v2.assigned(s)) for s in x2} != t1 or len(x2) != len(t1):
-            continue
+    for x2, _ in same:
         best = None
         for s, sp in immediate:
             if s in x2 and sp in x2 \
@@ -293,29 +291,40 @@ def _fresh_tag(tag, moves):
     return tag
 
 
-def _replay(v2, gap, configs, own, limits):
-    """The gap trace replayed against v2 over configs(), the configurations
-    of v2 that count: the game, the trace's moves t1, their saturation t1p,
-    the causes of t1p (the game's order, then the reversal edges), the
-    game's conflicts among t1p and the swapped polarities of t1p.
+def _gap_trace(gap):
+    """The trace of a gap as find_gap returns it; None, the answer when the
+    preorder holds, is no gap."""
+    if gap is None:
+        raise BadArgument("no gap to separate: the preorder holds", gap=gap)
+    return gap[1]
 
-    configs() runs only once the trace is known to be made of moves of one
-    game; NotAGap(own) is raised when one of them realises the trace.
+
+def _replay(v2, trace, groups, own):
+    """The gap trace replayed against v2 over groups(), the configurations
+    of v2 that count grouped by image: the game, the trace's moves t1, their
+    saturation t1p, the causes of t1p (the game's order, then the reversal
+    edges), the game's conflicts among t1p and the swapped polarities of t1p.
+
+    groups() runs only once the trace is known to be made of moves of one
+    game; NotAGap(own) is raised when one of the group with its image
+    realises the trace, a chain, which contains x's order when their union
+    is acyclic.
     """
     if v2.A.events:
         raise GameMismatch("tests are synthesised over a single game")
     g = v2.B
-    _, trace = gap
     alpha = _gap_payloads(g, trace)
     t1 = set(alpha)
-    configs = configs()
-    if tuple((3, a) for a in alpha) in _trace_index(v2, configs, limits):
+    same = groups().get(frozenset(t1), ())
+    bits = [1 << g.es.rank[a] for a in alpha]
+    chain = tuple((b, sum(bits[:i])) for i, b in enumerate(bits) if i)
+    if len(t1) == len(alpha) and any(_acyclic(p, chain) for _, p in same):
         raise NotAGap(own, trace=trace)
     pos = {a: i for i, a in enumerate(alpha)}
     t1p = _saturation(g, t1)
     causes = [(b, a) for a in t1p for b in g.es.strict_below(a) & t1p]
     causes += [(alpha[i], alpha[j])
-               for i, j in _reversal_edges(v2, configs, t1, pos)]
+               for i, j in _reversal_edges(v2, same, pos)]
     # a test that holds both moves of a game conflict consistent would map
     # an inconsistent set onto the game
     conflicts = [(a, b) for a, b in g.es.inconsistent_pairs()
@@ -333,10 +342,11 @@ def synthesize_may_test(sigma2, gap, limits=DEFAULT_LIMITS):
     success move enabled once all of the trace's swapped-to-Opponent moves are
     in.
     """
+    trace = _gap_trace(gap)
     v2 = strategy_of(sigma2).visible
     g, t1, t1p, causes, conflicts, pols = _replay(
-        v2, gap, lambda: v2.configurations(limits),
-        "the trace is one of sigma2's own", limits)
+        v2, trace, lambda: v2.configurations_by_image(limits),
+        "the trace is one of sigma2's own")
     tick = TICK if TICK not in t1p else ("k", TICK)
     causes += [(t, tick) for t in t1 if g.pol[t] == PLUS]
     src = Polarised(event_structure(sortedevents(t1p) + (tick,), causes,
@@ -357,12 +367,13 @@ def synthesize_must_test(s2, gap, limits=DEFAULT_LIMITS):
     neutral shadow when it does; saturation events enable theirs instead, so
     only the exact trace image can starve success.
     """
+    trace = _gap_trace(gap)
     if not isinstance(s2, StoppingStrategy):
         raise GameMismatch("must synthesis runs against a stopping strategy")
     s2 = s2.visible
     g, t1, t1p, causes, conflicts, pols = _replay(
-        s2.strat, gap, s2.sorted_stopping,
-        "the trace is one of s2's stopping traces", limits)
+        s2.strat, trace, s2.stopping_by_image,
+        "the trace is one of s2's stopping traces")
     shadow, success = _fresh_tag("n", t1p), _fresh_tag("v", t1p)
     shadows = {t: (shadow, t) for t in t1 if g.pol[t] == PLUS}
     ticks = {t: (success, t) for t in t1p}
@@ -397,8 +408,9 @@ def enumerate_tests(g, max_events=4, bare=False):
 
     Tests that differ only by a renaming of source events form a class, and
     the first of each class in candidate order is the one listed: candidate
-    skeletons are cut by cheap necessary conditions and by their canonical
-    form, then validated in full. Intended for small bounds.
+    skeletons are cut by the rules of the tests' target dual(g) || N || 1
+    (_candidates) and by their canonical form, then validated in full.
+    Intended for small bounds.
 
     The list is new on every call, but the tests in it are shared between
     calls on equal games. Enumerations are kept, keyed on the game's value,
@@ -417,9 +429,8 @@ def enumerate_tests(g, max_events=4, bare=False):
     key = g, max_events, bare
     found = _kept.pop(key, None)
     if found is None:
-        pol = dual(g).pol
         found = tuple(t for combo in _combos(g, max_events, bare)
-                      for t in _skeletons(g, pol, combo))
+                      for t in _skeletons(g, combo))
         held = len(found) + sum(map(len, _kept.values()))
         while held > _KEPT_TESTS and _kept:
             held -= len(_kept.popitem(last=False)[1])
@@ -450,45 +461,23 @@ def _combos(g, max_events, bare):
                 yield combo
 
 
-def _labelling(pol, combo):
-    """The polarity and the assignment of each source event 0..n-1; a
-    neutral event i plays the middle event i."""
-    pols, assign = {}, {}
-    for i, (kind, a) in enumerate(combo):
-        if kind == "g":
-            pols[i], assign[i] = pol[a], (1, a)
-        elif kind == "n":
-            pols[i], assign[i] = NEUTRAL, (2, i)
-        else:
-            pols[i], assign[i] = PLUS, (3, TICK)
-    return pols, assign
-
-
-def _candidates(g, combo, pols):
-    """Each acyclic set of cause edges over the slots that combo allows,
-    with its down-closures and the pairs that may then be declared in
-    conflict."""
-    n = len(combo)
-    kind = [k for k, _ in combo]
-    move = [a for _, a in combo]
-
-    slots = []
-    for i, j in combinations(range(n), 2):
-        for a, b in ((i, j), (j, i)):
-            if kind[a] == "t":
-                continue
-            if pols[b] == MINUS and not (
-                    kind[a] == "g" and move[a] in g.es.strict_below(move[b])):
-                continue
-            if pols[a] == PLUS and not (
-                    kind[b] == "g"
-                    and (move[a], move[b]) in g.es.immediate_pairs()):
-                continue
-            slots.append((a, b))
-    # conflicts touching an Opponent slot always break receptivity, except when
-    # already hereditary, in which case declaring them changes nothing
+def _candidates(target, assign, pols):
+    """Each acyclic set of cause edges over the events 0..n-1, assigned
+    into target, that its rules allow, with its down-closures and the pairs
+    that may then be declared in conflict: an edge into an Opponent event
+    lies in the target's order, one out of a Player event covers in it, and
+    a conflict touching an Opponent event is the target's (innocence and
+    receptivity)."""
+    n = len(assign)
+    tes = target.es
+    slots = [(a, b) for i, j in combinations(range(n), 2)
+             for a, b in ((i, j), (j, i))
+             if (pols[b] != MINUS or assign[a] in tes.strict_below(assign[b]))
+             and (pols[a] != PLUS
+                  or (assign[a], assign[b]) in tes.immediate_pairs())]
     conflictable = [(i, j) for i, j in combinations(range(n), 2)
-                    if pols[i] != MINUS and pols[j] != MINUS]
+                    if MINUS not in (pols[i], pols[j])
+                    or not tes.is_consistent((assign[i], assign[j]))]
 
     for edges in _subsets(slots):
         below = _closures(n, edges)
@@ -514,7 +503,7 @@ def _pair_bits(pairs, p, n):
     return bits
 
 
-def _skeletons(g, pol, combo):
+def _skeletons(g, combo):
     """The valid tests over combo, one per isomorphism class.
 
     A candidate is fixed by its strict order and its conflicts closed
@@ -526,13 +515,16 @@ def _skeletons(g, pol, combo):
     others are skipped.
     """
     n = len(combo)
-    pols, assign = _labelling(pol, combo)
+    assign = {i: (1, a) if kind == "g" else (2, i) if kind == "n" else (3, TICK)
+              for i, (kind, a) in enumerate(combo)}
     neutrals = [i for i in range(n) if combo[i][0] == "n"]
     middle = Polarised(event_structure(neutrals),
                        {i: NEUTRAL for i in neutrals})
+    target = shared_target(g, middle, _SUCCESS)
+    pols = {i: target.pol[v] for i, v in assign.items()}
     perms = _block_permutations(combo)
     seen = set()
-    for _, below, free in _candidates(g, combo, pols):
+    for _, below, free in _candidates(target, assign, pols):
         order = [(a, b) for b in range(n) for a in below[b] if a != b]
         order_bits = [_pair_bits(order, p, n) for p in perms]
         least = min(order_bits)
@@ -546,7 +538,7 @@ def _skeletons(g, pol, combo):
             seen.add(key)
             try:
                 yield bare_strategy(Polarised(_structure(n, below, closed), pols),
-                                    g, middle, success_game(), assign)
+                                    g, middle, _SUCCESS, assign)
             except InvalidStructure:
                 continue
 

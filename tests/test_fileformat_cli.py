@@ -16,9 +16,11 @@ from esgames import fixtures as fx
 from esgames.errors import ParseError
 from esgames.fileformat import (Definition, Workspace, export_dot, parse,
                                 parse_file, print_workspace)
+from esgames.games import MINUS, PLUS, game
 from esgames.randgen import (random_bare, random_game, random_stopping,
                              random_strategy)
 from esgames.strategies import copycat_strategy, stop_of
+from esgames.structures import event_structure
 from esgames.testing import may_pass
 
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -180,6 +182,26 @@ map f : A -> B {
     printed = print_workspace(ws)
     assert "b -> _;" in printed
     assert print_workspace(parse(printed)) == printed
+
+
+def test_names_led_by_an_underscore_print_and_parse_back():
+    # _a and _1 are identifiers, as the printer writes them; a lone _ stays
+    # the symbol of an empty middle or an unmapped event, so an event named
+    # _ is printed under another name
+    g = game(event_structure(["_a", "_1", "b"], causes=[("_a", "b")]),
+             {"_a": PLUS, "_1": MINUS, "b": PLUS})
+    ws = Workspace()
+    ws.add(Definition("game", "G", g))
+    printed = print_workspace(ws)
+    assert "event _a +;" in printed and "cause _a < b;" in printed
+    assert parse(printed).get("G").obj == g
+    assert print_workspace(parse(printed)) == printed
+    lone = game(event_structure(["_", "b"]), {"_": PLUS, "b": MINUS})
+    ws = Workspace()
+    ws.add(Definition("game", "G", lone))
+    printed = print_workspace(ws)
+    assert "event _ " not in printed
+    assert len(parse(printed).get("G").obj.events) == 2
 
 
 def test_map_local_injectivity_checked():

@@ -10,7 +10,7 @@ import operator
 import random
 import weakref
 from collections import Counter, OrderedDict
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -78,6 +78,7 @@ from esgames.strategies import (
     bare_strategy,
     copycat_strategy,
     saturate_stopping,
+    shared_target,
     stop_of,
     strategy_of,
     validate_bare_strategy,
@@ -105,6 +106,7 @@ from esgames.testing import (
     _subsets,
     _without_common_successor,
     enumerate_tests,
+    find_gap,
     finite_traces,
     may_pass,
     may_preorder,
@@ -769,25 +771,28 @@ def test_cause_cycles_are_cycles_of_the_declared_causes(seed):
 # ---- test enumeration up to isomorphism ---------------------------------------
 
 
-def combo_polarities(pol, combo):
-    return {i: pol[a] if k == "g" else PLUS if k == "t" else NEUTRAL
+def combo_shape(g, combo):
+    """The polarities, assignment, middle and target of a test whose source
+    events 0..n-1 take the (kind, move) entries of combo."""
+    pol = dual(g).pol
+    pols = {i: pol[a] if k == "g" else PLUS if k == "t" else NEUTRAL
             for i, (k, a) in enumerate(combo)}
+    assign = {i: (1, a) if k == "g" else (2, i) if k == "n" else (3, TICK)
+              for i, (k, a) in enumerate(combo)}
+    neutrals = [i for i in range(len(combo)) if combo[i][0] == "n"]
+    middle = Polarised(event_structure(neutrals),
+                       {i: NEUTRAL for i in neutrals})
+    return pols, assign, middle, shared_target(g, middle, success_game())
 
 
 def exhaustive_tests(g, max_events, bare):
     """Every valid test over g in candidate order, relabellings included:
     each candidate built through event_structure and validated in full."""
-    pol = dual(g).pol
     found = []
     for combo in _combos(g, max_events, bare):
         n = len(combo)
-        pols = combo_polarities(pol, combo)
-        assign = {i: (1, a) if k == "g" else (2, i) if k == "n" else (3, TICK)
-                  for i, (k, a) in enumerate(combo)}
-        neutrals = [i for i in range(n) if combo[i][0] == "n"]
-        middle = Polarised(event_structure(neutrals),
-                           {i: NEUTRAL for i in neutrals})
-        for edges, _, free in _candidates(g, combo, pols):
+        pols, assign, middle, target = combo_shape(g, combo)
+        for edges, _, free in _candidates(target, assign, pols):
             for confl in _subsets(free):
                 src = Polarised(event_structure(range(n), edges, confl), pols)
                 try:
@@ -809,13 +814,16 @@ def isomorphic_tests(t1, t2):
                             iso_labels(t1), iso_labels(t2)) is not None
 
 
+def label_key(t):
+    """The multiset of t's labels, which isomorphic tests share."""
+    return frozenset(Counter(iso_labels(t).values()).items())
+
+
 def by_labels(tests):
-    """The tests grouped by the multiset of their labels, which isomorphic
-    tests share, each group in order."""
+    """The tests grouped by label_key, each group in order."""
     groups = {}
     for t in tests:
-        key = frozenset(Counter(iso_labels(t).values()).items())
-        groups.setdefault(key, []).append(t)
+        groups.setdefault(label_key(t), []).append(t)
     return groups
 
 
@@ -866,17 +874,118 @@ def test_verdicts_agree_across_each_class(seed):
 @settings(max_examples=40, deadline=None)
 def test_skeletons_built_directly_are_those_event_structure_builds(seed):
     g = random_game(random.Random(seed), 2)
-    pol = dual(g).pol
     for combo in _combos(g, 3, True):
         n = len(combo)
-        pols = combo_polarities(pol, combo)
-        for edges, below, free in _candidates(g, combo, pols):
+        pols, assign, _, target = combo_shape(g, combo)
+        for edges, below, free in _candidates(target, assign, pols):
             for confl in _subsets(free):
                 direct = _structure(n, below, inherited_conflicts(below, confl)[0])
                 built = event_structure(range(n), edges, confl)
                 assert direct.events == built.events
                 assert all(direct.below(e) == built.below(e) for e in range(n))
                 assert direct.maxcons == built.maxcons
+
+
+def powerset(items):
+    items = list(items)
+    for r in range(len(items) + 1):
+        yield from combinations(items, r)
+
+
+def conflicting_player_moves():
+    """Two Player moves in conflict: every test copies both as Opponent
+    moves and must declare their conflict."""
+    return game(event_structure(["p", "q"], conflicts=[("p", "q")]),
+                {"p": PLUS, "q": PLUS})
+
+
+def unpruned_tests(g, max_events, bare):
+    """Every valid test over g with at most max_events source events, built
+    without the enumeration's code: every multiset of labels, every set of
+    cause edges over ordered pairs and every set of conflicts, each
+    resulting structure validated once."""
+    pol = dual(g).pol
+    labels = [(1, a) for a in g.es.ordered] + [(3, TICK)]
+    labels += [(2, None)] if bare else []
+    found = []
+    for n in range(max_events + 1):
+        for combo in combinations_with_replacement(labels, n):
+            assign = {i: (2, i) if v[0] == 2 else v for i, v in enumerate(combo)}
+            pols = {i: pol[v[1]] if v[0] == 1 else PLUS if v[0] == 3
+                    else NEUTRAL for i, v in enumerate(combo)}
+            neutrals = [i for i, v in enumerate(combo) if v[0] == 2]
+            middle = Polarised(event_structure(neutrals),
+                               dict.fromkeys(neutrals, NEUTRAL))
+            orders, built = {}, set()
+            for edges in powerset(permutations(range(n), 2)):
+                try:
+                    es = event_structure(range(n), edges)
+                except InvalidStructure:
+                    continue
+                orders.setdefault(es, edges)
+            for edges in orders.values():
+                for confl in powerset(combinations(range(n), 2)):
+                    try:
+                        es = event_structure(range(n), edges, confl)
+                    except InvalidStructure:
+                        continue
+                    if es in built:
+                        continue
+                    built.add(es)
+                    try:
+                        found.append(bare_strategy(Polarised(es, pols), g,
+                                                   middle, success_game(),
+                                                   assign))
+                    except InvalidStructure:
+                        pass
+    return found
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 5])
+def test_enumeration_lists_every_valid_test_built_without_it(seed):
+    # the oracle shares no pruning rule with enumerate_tests: each valid
+    # test is isomorphic to exactly one listed test, and every listed test
+    # is matched
+    g = conflicting_player_moves() if seed is None else \
+        random_game(random.Random(seed), 2)
+    for max_events, bare in ((3, False), (2, True)):
+        listed = by_labels(enumerate_tests(g, max_events, bare=bare))
+        matched = set()
+        for t in unpruned_tests(g, max_events, bare):
+            same = [k for k in listed.get(label_key(t), ())
+                    if isomorphic_tests(t, k)]
+            assert len(same) == 1
+            matched.add(id(same[0]))
+        assert matched == {id(k) for ks in listed.values() for k in ks}
+
+
+def test_conflicting_player_moves_have_tests_at_every_budget():
+    g = conflicting_player_moves()
+    assert [len(enumerate_tests(g, k, bare=bare))
+            for k in (3, 4) for bare in (False, True)] == [4, 7, 10, 50]
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 5])
+def test_synthesised_tests_within_the_budget_are_enumerated(seed):
+    # a separating test of at most k source events is one of the tests
+    # enumerate_tests(g, k) lists, up to isomorphism
+    rng = random.Random(seed)
+    g = conflicting_player_moves() if seed is None else random_game(rng, 2)
+    k, checked = (4 if seed is None else 3), 0
+    for _ in range(6):
+        s1, s2 = (random_in_game_strategy(rng, g) for _ in range(2))
+        m1, m2 = (random_stopping(rng, s) for s in (s1, s2))
+        for bare, synthesize, a, b in ((False, synthesize_may_test, s1, s2),
+                                       (True, synthesize_must_test, m1, m2)):
+            gap = find_gap("must" if bare else "may", a, b)
+            if gap is None:
+                continue
+            t = synthesize(b, gap)
+            if len(t.source.events) <= k:
+                listed = enumerate_tests(g, k, bare=bare)
+                assert sum(isomorphic_tests(t, e) for e in listed) == 1
+                checked += 1
+    assert checked
 
 
 # ---- inherited event orders -----------------------------------------------------

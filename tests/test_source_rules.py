@@ -175,3 +175,26 @@ def test_testing_imports_nothing_from_interaction():
             if any(n.split(".")[-1] == "interaction" for n in names):
                 found.append(f"{path}:{node.lineno}")
     assert not found, "\n".join(found)
+
+
+def test_strategy_targets_are_built_only_by_shared_target():
+    # dual(A) || N || B is one object per value of the three games: every
+    # reader takes it from strategies.shared_target, which alone builds it
+    def named(node, name):
+        f = node.func
+        return (getattr(f, "id", None) or getattr(f, "attr", None)) == name
+
+    found = []
+    for path, tree in sources("src"):
+        exempt = {id(n) for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef)
+                  and path.name == "strategies.py"
+                  and fn.name == "shared_target"
+                  for n in ast.walk(fn)}
+        found += [f"{path}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in exempt
+                  and named(node, "parallel") and len(node.args) == 3
+                  and isinstance(node.args[0], ast.Call)
+                  and named(node.args[0], "dual")]
+    assert not found, "\n".join(found)

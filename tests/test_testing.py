@@ -13,7 +13,7 @@ from esgames import fixtures as fx
 from esgames import testing
 from esgames.errors import (BadArgument, GameMismatch, NotAConfiguration,
                             NotAGap, SizeBoundExceeded)
-from esgames.games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, dual, game
+from esgames.games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
 from esgames.interaction import compose_stopping, interact_stopping
 from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.randgen import random_game, random_in_game_strategy, random_stopping
@@ -343,6 +343,44 @@ def test_synthesize_must_rejects_realized_stopping_traces():
         synthesize_must_test(fx.press_c(), (fs(), ()))
 
 
+def test_synthesis_without_a_gap_is_a_bad_argument():
+    # None is what find_gap answers when the preorder holds; it is refused
+    # before the subject is looked at
+    s = fx.press_b2()
+    assert find_gap("may", s, s) is None
+    for synthesize, subject in ((synthesize_may_test, s),
+                                (synthesize_must_test, stop_of(s)),
+                                (synthesize_must_test, s)):
+        with pytest.raises(BadArgument) as e:
+            synthesize(subject, None)
+        assert e.value.data == {"gap": None}
+
+
+def test_synthesis_lists_no_traces_of_the_second_subject():
+    # s2 answers six concurrent Opponent moves: its 64 configurations fit
+    # the cap, the 720 traces of the six would not, and synthesis reads the
+    # configurations grouped by image instead of listing traces
+    opp = [f"o{i}" for i in range(6)]
+    g = game(event_structure(opp + ["q"]), dict.fromkeys(opp, MINUS) | {"q": PLUS})
+
+    def playing(moves):
+        src = Polarised(event_structure(moves), {m: g.pol[m] for m in moves})
+        return in_game_strategy(src, g, {m: m for m in moves})
+
+    s1, s2 = playing(opp + ["q"]), playing(opp)
+    small = EngineLimits(max_configs=64)
+    _, gap = may_preorder(s1, s2)
+    t = synthesize_may_test(s2, gap, small)
+    assert may_pass(s1, t).passed and not may_pass(s2, t).passed
+    with pytest.raises(SizeBoundExceeded) as e:
+        synthesize_may_test(s2, gap, EngineLimits(max_configs=63))
+    assert e.value.data == {"cap": 63}
+    m1, m2 = saturate_stopping(s1), saturate_stopping(s2)
+    _, gap = must_preorder(m1, m2)
+    t = synthesize_must_test(m2, gap, small)
+    assert must_pass(m2, t).passed and not must_pass(m1, t).passed
+
+
 def test_unreached_player_moves_get_guarded_success_copies():
     # a subject that stops after one lamp against one that lights both: the
     # extra lamp's success copy must wait for the lamp, otherwise the test
@@ -518,9 +556,9 @@ def counting_builds(monkeypatch):
     combos = []
     original = testing._skeletons
 
-    def counted(g, pol, combo):
+    def counted(g, combo):
         combos.append(combo)
-        return original(g, pol, combo)
+        return original(g, combo)
 
     monkeypatch.setattr(testing, "_skeletons", counted)
     return combos
@@ -571,7 +609,7 @@ def test_the_least_recently_used_enumeration_goes_first(monkeypatch):
 def test_tests_of_one_combo_share_one_target_while_one_holds_it():
     g = game(event_structure(["shared"]), {"shared": PLUS})
     combo = (("g", "shared"), ("t", None))
-    t1, t2 = testing._skeletons(g, dual(g).pol, combo)
+    t1, t2 = testing._skeletons(g, combo)
     assert t1.target is t2.target
     assert t1.sigma.dst is t1.target.es and t2.sigma.dst is t2.target.es
     target = weakref.ref(t1.target)
