@@ -397,15 +397,14 @@ def parse_file(path, limits=DEFAULT_LIMITS, ws=None):
 
 
 def _flat_ident(e):
-    flat = []
-
-    def walk(v):
+    flat, todo = [], [e]
+    while todo:  # depth first, left to right
+        v = todo.pop()
         if isinstance(v, (tuple, frozenset)):
-            for u in (sorted(v, key=ekey) if isinstance(v, frozenset) else v):
-                walk(u)
+            todo += reversed(sorted(v, key=ekey) if isinstance(v, frozenset)
+                             else v)
         else:
             flat.append(re.sub(r"[^A-Za-z0-9]+", "", str(v)) or "x")
-    walk(e)
     base = "_".join(flat)
     return base if base[:1].isalpha() else "e_" + base
 

@@ -98,22 +98,36 @@ class BareStrategy:
         m = self.sigma.mapping
         return frozenset(u for j, u in map(m.__getitem__, x) if j == side)
 
+    def move_bit(self, move):
+        """The bit of a move, tagged as in the target, in order_on(None, x):
+        B's moves by their rank in B, A's above them."""
+        j, u = move
+        if j == 3:
+            return 1 << self.B.es.rank[u]
+        return 1 << (len(self.B.events) + self.A.es.rank[u])
+
     def order_on(self, side, x):
         """The strict order configuration x induces on the moves it plays in
-        one game (side 1 for A, side 3 for B), as edges (move bit, mask of
-        the moves below it), a move's bit set by its rank in the game: ()
-        when x orders none of them, None when x plays one of them twice."""
-        rank = (self.A if side == 1 else self.B).es.rank
+        A (side 1, a move's bit set by its rank in A) or in both games (side
+        None, bits as move_bit sets them), as edges (move bit, mask of the
+        moves below it): () when x orders none of them, None when x plays
+        one of them twice."""
+        rank_a, rank_b = self.A.es.rank, self.B.es.rank
+        shift = 0 if side == 1 else len(self.B.events)
         m, below = self.sigma.mapping, self.source.es.below
         bits, seen = {}, 0
         for s in x:
             j, u = m[s]
-            if j == side:
-                b = 1 << rank[u]
-                if seen & b:
-                    return None
-                seen |= b
-                bits[s] = b
+            if j == 1:
+                b = 1 << (shift + rank_a[u])
+            elif j == 3 and side is None:
+                b = 1 << rank_b[u]
+            else:
+                continue
+            if seen & b:
+                return None
+            seen |= b
+            bits[s] = b
         edges = ((b, sum(bits.get(d, 0) for d in below(s)) - b)
                  for s, b in bits.items())
         return tuple((b, mask) for b, mask in edges if mask)
@@ -136,7 +150,7 @@ class BareStrategy:
 
     def configurations_by_image(self, limits=DEFAULT_LIMITS):
         """Source configurations grouped by their image on B, each group
-        smallest first, as pairs (x, x's order_on B)."""
+        smallest first, as pairs (x, x's order_on both games)."""
         self.configurations(limits)
         return self._by_image
 
@@ -172,7 +186,7 @@ def _group_by_image(bs, configs):
     groups = {}
     for x in configs:
         groups.setdefault(bs.image_on(3, x), []).append(
-            (x, bs.order_on(3, x)))
+            (x, bs.order_on(None, x)))
     return {b: tuple(xs) for b, xs in groups.items()}
 
 
@@ -338,7 +352,7 @@ class StoppingStrategy:
 
     def stopping_by_image(self):
         """The stopping configurations grouped by their image on B, each
-        group smallest first, as pairs (x, x's order_on B)."""
+        group smallest first, as pairs (x, x's order_on both games)."""
         return self._by_image
 
     @cached_property

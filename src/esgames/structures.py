@@ -402,19 +402,22 @@ def _maximal_cliques(adjacent):
     maximal clique contains the pivot or one of them.
     """
     out = []
-
-    def expand(clique, cands, done):
-        if not cands and not done:
-            out.append(frozenset(clique))
-            return
-        pivot = max(cands | done, key=lambda u: len(cands & adjacent[u]))
-        for v in cands - adjacent[pivot]:
-            expand(clique | {v}, cands & adjacent[v], done & adjacent[v])
-            cands = cands - {v}
-            done = done | {v}
-
-    expand(frozenset(), frozenset(adjacent), frozenset())
+    _expand(adjacent, frozenset(), frozenset(adjacent), frozenset(), out)
     return out
+
+
+def _expand(adjacent, clique, cands, done, out):
+    """Add to out every maximal clique that extends clique by vertices of
+    cands and none of done."""
+    if not cands and not done:
+        out.append(clique)
+        return
+    pivot = max(cands | done, key=lambda u: len(cands & adjacent[u]))
+    for v in cands - adjacent[pivot]:
+        _expand(adjacent, clique | {v}, cands & adjacent[v],
+                done & adjacent[v], out)
+        cands = cands - {v}
+        done = done | {v}
 
 
 def event_structure(events, causes=(), conflicts=(), consistent=None, name=""):
@@ -556,41 +559,44 @@ def find_isomorphism(e1, e2, label1=None, label2=None, budget=200_000):
              for e in e1.events}
     order = sorted(e1.events, key=lambda e: (len(cands[e]), e1.rank[e]))
     assign = {}
-    used = set()
-    nodes = 0
-
-    def ok(e, f):
-        for a, b in assign.items():
-            if e1.leq(a, e) != e2.leq(b, f):
-                return False
-            if e1.leq(e, a) != e2.leq(f, b):
-                return False
-            if e1.is_consistent({a, e}) != e2.is_consistent({b, f}):
-                return False
-        return True
-
-    def search(i):
-        nonlocal nodes
-        if i == len(order):
-            fam1 = {frozenset(assign[e] for e in m) for m in e1.maxcons}
-            return fam1 == set(e2.maxcons)
-        e = order[i]
-        for f in cands[e]:
-            if f in used:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(f"budget {budget} exhausted",
-                                           budget=budget)
-            if ok(e, f):
-                assign[e] = f
-                used.add(f)
-                if search(i + 1):
-                    return True
-                del assign[e]
-                used.discard(f)
-        return False
-
-    if search(0):
-        return dict(assign)
+    if _search(e1, e2, order, cands, assign, set(), [0], budget):
+        return assign
     return None
+
+
+def _agrees(e1, e2, assign, e, f):
+    """Whether sending e to f keeps order and consistency with assign."""
+    for a, b in assign.items():
+        if e1.leq(a, e) != e2.leq(b, f):
+            return False
+        if e1.leq(e, a) != e2.leq(f, b):
+            return False
+        if e1.is_consistent({a, e}) != e2.is_consistent({b, f}):
+            return False
+    return True
+
+
+def _search(e1, e2, order, cands, assign, used, tried, budget):
+    """Whether assign, defined on order's first len(assign) events and onto
+    used, extends to an isomorphism, which it then holds; tried[0] counts
+    the candidate pairs tried against budget."""
+    i = len(assign)
+    if i == len(order):
+        fam1 = {frozenset(assign[e] for e in m) for m in e1.maxcons}
+        return fam1 == set(e2.maxcons)
+    e = order[i]
+    for f in cands[e]:
+        if f in used:
+            continue
+        tried[0] += 1
+        if tried[0] > budget:
+            raise SearchBudgetExceeded(f"budget {budget} exhausted",
+                                       budget=budget)
+        if _agrees(e1, e2, assign, e, f):
+            assign[e] = f
+            used.add(f)
+            if _search(e1, e2, order, cands, assign, used, tried, budget):
+                return True
+            del assign[e]
+            used.discard(f)
+    return False

@@ -11,11 +11,20 @@ glued edge comes from S or from T, and both are partial orders, so a cycle
 alternates sides at shared moves and shortcuts to a cycle on the moves: the
 pairing is decided from the two orders on the moves alone, which each side
 keeps once per configuration (BareStrategy.order_on).
+
+The may and must preorders are trace inclusion and stopping-trace inclusion,
+decided from the same kept orders, grouped by image: every trace of x is one
+of the second strategy's when some configuration with x's image orders the
+moves inside x's order. Only where no single one does are x's
+linearisations listed (_gap). The configuration cap bounds each subject's
+distinct traces there, which _cap_traces counts without listing them.
+traces_of, finite_traces and stopping_traces list traces themselves.
 """
 
 from collections import OrderedDict, namedtuple
 from itertools import (chain, combinations, combinations_with_replacement,
                        groupby, permutations, product)
+from math import factorial
 
 from .errors import (BadArgument, Cycle, GameMismatch, InvalidStructure,
                      NotAConfiguration, NotAGap)
@@ -45,26 +54,27 @@ _SUCCESS = success_game()  # the game every test targets
 
 
 def _linearisations(sigma, x):
-    """Yield the image of each linear extension of the order inside x.
+    """Yield the image of each linear extension of the order inside x, least
+    first by ekey. The images are pairwise distinct where sigma is
+    injective on x, as on every configuration of a strategy."""
+    m, strict_below = sigma.sigma.mapping, sigma.source.es.strict_below
+    events = sorted(x, key=lambda s: ekey(m[s]))
+    pos = {s: i for i, s in enumerate(events)}
+    preds = [sum(1 << pos[d] for d in strict_below(s)) for s in events]
+    return _extend([m[s] for s in events], preds, 0, ())
 
-    The images are pairwise distinct, as sigma is injective on x.
-    """
-    x = frozenset(x)
-    src = sigma.source.es
-    preds = {s: (src.strict_below(s) & x) for s in x}
-    prefix = []
 
-    def grow(placed, remaining):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for s in sorted(remaining, key=src.rank.__getitem__):
-            if preds[s] <= placed:
-                prefix.append(sigma.assigned(s))
-                yield from grow(placed | {s}, remaining - {s})
-                prefix.pop()
-
-    return grow(frozenset(), x)
+def _extend(images, preds, placed, prefix):
+    """Each completion of prefix, the images of the events whose bits are
+    in placed, by the other events, each once its preds are placed; least
+    first, as images are."""
+    if len(prefix) == len(images):
+        yield prefix
+        return
+    for i, p in enumerate(preds):
+        if not placed >> i & 1 and not p & ~placed:
+            yield from _extend(images, preds, placed | 1 << i,
+                               prefix + (images[i],))
 
 
 def traces_of(sigma, x, limits=DEFAULT_LIMITS):
@@ -197,35 +207,128 @@ def _require_same_game(b1, b2):
                            left=(b1.A, b1.B), right=(b2.A, b2.B))
 
 
-def _least_gap(index, others):
-    """The shortlex-least trace of index missing from others, by ekey, with
-    its configuration; keys are built for the shortest missing traces only."""
-    missing = [tr for tr in index if tr not in others]
-    if not missing:
-        return None
-    n = min(map(len, missing))
-    alpha = min((tr for tr in missing if len(tr) == n),
-                key=lambda tr: tuple(map(ekey, tr)))
-    return index[alpha], alpha
+def _within(q, p):
+    """Whether the order q is contained in the order p, both as order_on
+    gives them on one set of moves, so every linearisation of p is one of
+    q; never when q plays a move twice (None)."""
+    if q is None:
+        return False
+    if not q:
+        return True
+    p = dict(p)
+    return all(not mask & ~p.get(b, 0) for b, mask in q)
+
+
+def _chain(bits):
+    """The total order that lists the moves with these bits, as order_on
+    gives orders."""
+    return tuple((b, sum(bits[:i])) for i, b in enumerate(bits) if i)
+
+
+def _least_missing(v1, x, p, v2, members):
+    """The least trace of x, of order p, by ekey that no member (y, y's
+    order) of v2 has, or None. A trace is a chain, which y has when y's
+    order is within it. Where x plays a move twice (p None) no order gives
+    its traces, and they are compared with those of the members that play
+    a move twice too, the only ones that can share them."""
+    traces = _linearisations(v1, x)
+    if p is None:
+        others = {t for y, q in members if q is None
+                  for t in _linearisations(v2, y)}
+        return next((t for t in traces if t not in others), None)
+    return next((t for t in traces
+                 if not any(_within(q, _chain(list(map(v1.move_bit, t))))
+                            for _, q in members)), None)
+
+
+def _gap(v1, groups1, v2, groups2):
+    """The shortlex-least trace, by ekey, of the configurations of v1 in
+    groups1 that none of v2's in groups2 has, with the least configuration
+    realising it; None when there is none. Groups are by image on B, as
+    configurations_by_image gives them, so members with another image on A
+    are passed over.
+
+    A trace of x is a linearisation of the order x induces on its moves, and
+    a partial order is the intersection of its linearisations (Szpilrajn),
+    so a y of v2 with x's image has every trace of x exactly when y's order
+    is contained in x's: x is then covered. Only an uncovered x has its
+    linearisations listed, least first, each against the orders of v2's
+    configurations with its image; with none, the first is missing.
+    """
+    best = key = None
+    on_a = bool(v1.A.events)
+    for image, xs in groups1.items():
+        members = groups2.get(image, ())
+        for x, p in xs:
+            if key is not None and len(x) > key[0]:
+                continue
+            same = [(y, q) for y, q in members
+                    if not on_a or v2.image_on(1, y) == v1.image_on(1, x)]
+            if p is not None and any(_within(q, p) for _, q in same):
+                continue
+            trace = _least_missing(v1, x, p, v2, same)
+            if trace is not None:
+                k = len(trace), tuple(map(ekey, trace))
+                if key is None or k < key:
+                    best, key = (x, trace), k
+    return best
+
+
+def _cap_traces(sigma, tops, prefixes, limits):
+    """Raise SizeBoundExceeded when sigma has more than limits.max_configs
+    distinct traces among those of the configurations tops, and of the
+    configurations below them when prefixes is true. They are counted, not
+    listed: the traces that one set of pairs (configuration, top it lies
+    in) realises extend alike, so each such set is walked once, weighted by
+    the number of traces that reach it. A configuration of n events has at
+    most n! traces, and at most (n + 1)! with their prefixes, so the
+    count is made only when those bounds exceed the cap."""
+    cap, count = limits.max_configs, 0
+    if sum(factorial(len(z) + prefixes) for z in tops) <= cap:
+        return
+    below, m = sigma.source.es.strict_below, sigma.sigma.mapping
+    layer = {frozenset((frozenset(), z) for z in tops): 1}
+    while layer:
+        nxt = {}
+        for pairs, n in layer.items():
+            if prefixes or any(len(x) == len(z) for x, z in pairs):
+                count += n
+                if count > cap:
+                    raise over_cap(cap, "distinct traces")
+            steps = {}
+            for x, z in pairs:
+                for s in z - x:
+                    if below(s) <= x:
+                        steps.setdefault(m[s], set()).add((x | {s}, z))
+            for step in map(frozenset, steps.values()):
+                nxt[step] = nxt.get(step, 0) + n
+        layer = nxt
 
 
 def may_preorder(sigma1, sigma2, limits=DEFAULT_LIMITS):
-    """Trace inclusion; holds iff sigma2 may-passes every test sigma1 does."""
+    """Trace inclusion; holds iff sigma2 may-passes every test sigma1 does.
+    Decided by order inclusion over each image group (_gap)."""
     v1, v2 = strategy_of(sigma1).visible, strategy_of(sigma2).visible
     _require_same_game(v1, v2)
-    index = _trace_index(v1, v1.configurations(limits), limits)
-    gap = _least_gap(index, finite_traces(v2, limits))
+    for v in (v1, v2):
+        _cap_traces(v, [x for x, ext in v.configuration_graph(limits).items()
+                        if not ext], True, limits)
+    gap = _gap(v1, v1.configurations_by_image(limits),
+               v2, v2.configurations_by_image(limits))
     return gap is None, gap
 
 
 def must_preorder(s1, s2, limits=DEFAULT_LIMITS):
-    """Stopping-trace inclusion; holds iff every test s2 must-passes, s1 does."""
+    """Stopping-trace inclusion; holds iff every test s2 must-passes, s1 does.
+    Decided by order inclusion over each image group (_gap)."""
     if not (isinstance(s1, StoppingStrategy) and isinstance(s2, StoppingStrategy)):
         raise GameMismatch("the must preorder compares stopping strategies")
     s1, s2 = s1.visible, s2.visible
     _require_same_game(s1.strat, s2.strat)
-    index = _trace_index(s1.strat, s1.sorted_stopping(), limits)
-    gap = _least_gap(index, stopping_traces(s2, limits))
+    for s in (s1, s2):
+        _cap_traces(s.strat, s.sorted_stopping(), False, limits)
+    gap = _gap(s1.strat, s1.stopping_by_image(),
+               s2.strat, s2.stopping_by_image())
     return gap is None, gap
 
 
@@ -242,12 +345,17 @@ def find_gap(kind, s1, s2, limits=DEFAULT_LIMITS):
 
 
 def _gap_payloads(g, alpha):
+    """The moves of the gap trace alpha, each checked to be a move of g
+    that comes after its causes in g, as in every trace over g."""
     out = []
     for e in alpha:
         e = payload(e) if component(e) == 3 else e
         if e not in g.events:
             raise NotAGap(f"trace event {e!r} is not a move of the game",
                           event=e)
+        if not g.es.strict_below(e) <= set(out):
+            raise NotAGap(f"trace event {e!r} comes before one of its causes"
+                          " in the game", trace=alpha)
         out.append(e)
     return out
 
@@ -307,8 +415,8 @@ def _replay(v2, trace, groups, own):
 
     groups() runs only once the trace is known to be made of moves of one
     game; NotAGap(own) is raised when one of the group with its image
-    realises the trace, a chain, which contains x's order when their union
-    is acyclic.
+    realises the trace: a chain, which it does when the chain contains its
+    order (_within).
     """
     if v2.A.events:
         raise GameMismatch("tests are synthesised over a single game")
@@ -316,9 +424,8 @@ def _replay(v2, trace, groups, own):
     alpha = _gap_payloads(g, trace)
     t1 = set(alpha)
     same = groups().get(frozenset(t1), ())
-    bits = [1 << g.es.rank[a] for a in alpha]
-    chain = tuple((b, sum(bits[:i])) for i, b in enumerate(bits) if i)
-    if len(t1) == len(alpha) and any(_acyclic(p, chain) for _, p in same):
+    chain = _chain([v2.move_bit((3, a)) for a in alpha])
+    if len(t1) == len(alpha) and any(_within(p, chain) for _, p in same):
         raise NotAGap(own, trace=trace)
     pos = {a: i for i, a in enumerate(alpha)}
     t1p = _saturation(g, t1)

@@ -5,12 +5,14 @@ games and strategies deterministically, so every failure replays.
 """
 
 import gc
+import importlib
 import inspect
 import operator
 import random
 import weakref
 from collections import Counter, OrderedDict
 from itertools import combinations, combinations_with_replacement, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -119,6 +121,7 @@ from esgames.testing import (
     traces_of,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 seeds = st.integers(0, 10**9)
 
 
@@ -477,7 +480,7 @@ def kept_orders_against_glue(sigma, tau):
     for y in tau.configurations():
         q = tau.order_on(1, y)
         for x, p in by_image.get(tau.image_on(1, y), ()):
-            assert p == sigma.order_on(3, x)
+            assert p == sigma.order_on(None, x)
             glued = glue(sigma, tau, x, y) is not None
             assert _acyclic(p, q) == glued, (x, y)
             tried += 1
@@ -544,11 +547,26 @@ def test_a_configuration_playing_a_move_twice_never_glues():
         g, 1, [("u1", TICK), ("u2", TICK)],
         {"u1": (1, "p"), "u2": (1, "p"), TICK: (3, TICK)},
         {"u1": MINUS, "u2": MINUS, TICK: PLUS})
-    assert sub.order_on(3, frozenset({"s1", "s2"})) is None
+    assert sub.order_on(None, frozenset({"s1", "s2"})) is None
     assert test.order_on(1, frozenset({"u1", "u2"})) is None
-    assert sub.order_on(3, frozenset({"s1"})) == ()
+    assert sub.order_on(None, frozenset({"s1"})) == ()
     assert kept_orders_against_glue(sub, test) == (13, 0)
     assert may_pass(sub, test) == Verdict(False)
+
+
+def test_preorders_on_a_configuration_playing_a_move_twice_match_listing():
+    # no order gives the traces of a configuration that plays p twice: they
+    # are listed, against those of the configurations that play p twice too
+    g = fx.one_shot()
+    twice, ordered = (_unchecked_in_game(
+        g, 3, order, {"s1": (3, "p"), "s2": (3, "p")},
+        {"s1": PLUS, "s2": PLUS}) for order in ([], [("s1", "s2")]))
+    once = _unchecked_in_game(g, 3, [], {"s": (3, "p")}, {"s": PLUS})
+    assert may_preorder(twice, once) == (
+        False, (frozenset({"s1", "s2"}), ((3, "p"), (3, "p"))))
+    for a, b in combinations_with_replacement((twice, ordered, once), 2):
+        assert_preorders_match_listing(a, b)
+        assert_preorders_match_listing(stop_of(a), stop_of(b))
 
 
 def test_kept_orders_find_a_cycle_through_four_moves():
@@ -563,7 +581,7 @@ def test_kept_orders_find_a_cycle_through_four_moves():
                               {m: (1, m) for m in moves},
                               dict.fromkeys(moves, MINUS))
     x = y = frozenset(moves)
-    p, q = sub.order_on(3, x), test.order_on(1, y)
+    p, q = sub.order_on(None, x), test.order_on(1, y)
     assert sorted(p) == [(2, 1), (8, 4)] and sorted(q) == [(1, 8), (4, 2)]
     assert not _acyclic(p, q) and glue(sub, test, x, y) is None
     # the empty configurations and these two are the only ones that meet
@@ -1134,6 +1152,85 @@ def test_plus_reflection_matches_the_definition_on_fixtures():
     got = [assert_plus_reflection_matches_the_definition(*cell)
            for cell in cells]
     assert got == [True, False, True, False]
+
+
+# ---- the preorders against their traces listed ----------------------------------------
+
+
+def least_missing_trace(index, others):
+    """The shortlex-least trace of index missing from others, by ekey, with
+    the configuration index maps it to: the preorders' answer by listing."""
+    missing = [tr for tr in index if tr not in others]
+    if not missing:
+        return None
+    n = min(map(len, missing))
+    alpha = min((tr for tr in missing if len(tr) == n),
+                key=lambda tr: tuple(map(ekey, tr)))
+    return index[alpha], alpha
+
+
+def preorder_by_listing(kind, a, b):
+    """may_preorder or must_preorder of a and b decided from every trace."""
+    if kind == "may":
+        v1 = strategy_of(a).visible
+        index = testing._trace_index(v1, v1.configurations(), DEFAULT_LIMITS)
+        others = finite_traces(b)
+    else:
+        s1 = a.visible
+        index = testing._trace_index(s1.strat, s1.sorted_stopping(),
+                                     DEFAULT_LIMITS)
+        others = stopping_traces(b)
+    gap = least_missing_trace(index, others)
+    return gap is None, gap
+
+
+def assert_preorders_match_listing(s1, s2):
+    """Both preorders, both ways, give the verdict and gap of listing."""
+    for a, b in ((s1, s2), (s2, s1)):
+        assert may_preorder(a, b) == preorder_by_listing("may", a, b)
+        if isinstance(a, StoppingStrategy):
+            assert must_preorder(a, b) == preorder_by_listing("must", a, b)
+
+
+@given(seeds)
+@settings(max_examples=100, deadline=None)
+def test_preorders_decide_by_order_inclusion_as_listing_does(seed):
+    # in one game; stopping over bare strategies, read through their visible
+    # parts; interactions; and strategies with moves in both games
+    rng = random.Random(seed)
+    g, b, c = random_game(rng, 4), random_game(rng, 2), random_game(rng, 3)
+    s1, s2 = random_in_game_strategy(rng, g), random_in_game_strategy(rng, g)
+    assert_preorders_match_listing(s1, s2)
+    assert_preorders_match_listing(random_stopping(rng, s1),
+                                   random_stopping(rng, s2))
+    assert_preorders_match_listing(
+        *(random_stopping(rng, random_bare(rng, EMPTY, g, min_neutrals=1))
+          for _ in range(2)))
+    t = random_stopping(rng, random_bare(rng, g, b))
+    assert_preorders_match_listing(
+        *(interact_stopping(random_stopping(rng, random_in_game_strategy(
+            rng, g)), t) for _ in range(2)))
+    draw = random_bare if rng.random() < 0.5 else random_strategy
+    assert_preorders_match_listing(
+        *(random_stopping(rng, draw(rng, b, c)) for _ in range(2)))
+
+
+def test_preorders_decide_by_order_inclusion_on_the_benchmark_pools(
+        monkeypatch):
+    # the subject pairs of the bounded-tests workload, drawn as it draws them
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for rnd in range(30):
+        rng = random.Random(f"bounded-tests:7:{rnd}")
+        pairs = workloads._pairs(
+            rng, workloads.MAY_STRATA,
+            lambda g: random_in_game_strategy(rng, g), workloads._may_holds)
+        pairs += workloads._pairs(
+            rng, workloads.MUST_STRATA,
+            lambda g: random_stopping(rng, random_in_game_strategy(rng, g)),
+            workloads._must_holds)
+        for _, _, s1, s2 in pairs:
+            assert_preorders_match_listing(s1, s2)
 
 
 # ---- preorders on interactions, which keep their middle as neutral events -----------

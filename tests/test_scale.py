@@ -1,6 +1,7 @@
 """Scale checks, each in a child process of its own under a 20 s timeout:
-the structure builders on many independent conflicts, and the pullback of a
-copycat square under a capped address space."""
+the structure builders on many independent conflicts, and, under a capped
+address space, the pullback of a copycat square and the preorders on many
+concurrent moves."""
 
 import subprocess
 import sys
@@ -60,3 +61,43 @@ def test_copycat_square_on_8_concurrent_moves_in_96_mb():
     got = subprocess.run([sys.executable, "-c", COPYCAT_SQUARE], cwd=SRC,
                          capture_output=True, text=True, timeout=20)
     assert got.stdout.split() == ["65536", "24"], got.stderr[-2000:]
+
+
+# every configuration of n concurrent moves is covered by the one with its
+# image, or has none, so no trace is listed: listing them took 8.5 s and
+# 354 MB for may_preorder(s, s) at n = 9. 14 moves have about 2.4e11
+# traces, counted, not listed, against the cap: the default one raises, and
+# one above their number lets the preorders decide
+CONCURRENT_PREORDERS = """
+import resource
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, hard))
+from esgames.errors import SizeBoundExceeded
+from esgames.games import PLUS, Polarised, game
+from esgames.limits import EngineLimits
+from esgames.strategies import in_game_strategy, stop_of
+from esgames.structures import event_structure
+from esgames.testing import may_preorder, must_preorder
+moves = [f"m{i:02}" for i in range(14)]
+g = game(event_structure(moves), dict.fromkeys(moves, PLUS))
+def playing(ms):
+    src = Polarised(event_structure(ms), dict.fromkeys(ms, PLUS))
+    return in_game_strategy(src, g, {m: m for m in ms})
+full, miss = playing(moves), playing(moves[1:])
+for limits in (EngineLimits(), EngineLimits(max_configs=2 ** 40)):
+    for preorder, a, b in ((may_preorder, full, full),
+                           (may_preorder, full, miss),
+                           (must_preorder, stop_of(full), stop_of(full))):
+        try:
+            print(preorder(a, b, limits))
+        except SizeBoundExceeded as e:
+            print(e.data)
+"""
+
+
+def test_preorders_on_14_concurrent_moves_in_256_mb():
+    got = subprocess.run([sys.executable, "-c", CONCURRENT_PREORDERS],
+                         cwd=SRC, capture_output=True, text=True, timeout=20)
+    assert got.stdout.splitlines() == 3 * ["{'cap': 1048576}"] + [
+        "(True, None)", "(False, (frozenset({'m00'}), ((3, 'm00'),)))",
+        "(True, None)"], got.stderr[-2000:]

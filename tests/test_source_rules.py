@@ -198,3 +198,22 @@ def test_strategy_targets_are_built_only_by_shared_target():
                   and isinstance(node.args[0], ast.Call)
                   and named(node.args[0], "dual")]
     assert not found, "\n".join(found)
+
+
+def test_no_nested_function_in_src_names_itself():
+    # a nested function that names itself holds its own closure cell: a
+    # reference cycle that keeps all it captures alive until the cycle
+    # collector runs, so recursion lives in module-level helpers
+    def functions(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    found = set()
+    for path, tree in sources("src"):
+        for outer in functions(tree):
+            for fn in functions(outer):
+                if fn is not outer and any(
+                        isinstance(n, ast.Name) and n.id == fn.name
+                        for stmt in fn.body for n in ast.walk(stmt)):
+                    found.add(f"{path}:{fn.lineno}: {fn.name}")
+    assert not found, "\n".join(sorted(found))

@@ -25,7 +25,8 @@ from esgames.strategies import (
     saturate_stopping,
     stop_of,
 )
-from esgames.structures import EventStructure, event_structure
+from esgames.fileformat import Definition, Workspace, print_workspace
+from esgames.structures import EventStructure, event_structure, find_isomorphism
 from esgames.testing import (
     TICK,
     Verdict,
@@ -112,6 +113,39 @@ def concurrent_moves(n):
     return saturate_stopping(in_game_strategy(src, g, {m: m for m in moves}))
 
 
+def test_holding_preorders_list_no_linearisation(monkeypatch):
+    # each configuration of 9 concurrent moves covers itself
+    calls = []
+    listing = testing._linearisations
+    monkeypatch.setattr(testing, "_linearisations",
+                        lambda *args: calls.append(args) or listing(*args))
+    s = concurrent_moves(9)
+    assert may_preorder(s.strat, s.strat) == (True, None)
+    assert must_preorder(s, s) == (True, None)
+    assert calls == []
+
+
+def crossed_waits():
+    """Over Opponent o1, o2 and Player p1, p2, all concurrent: s1 plays p1
+    after o2 and p2 after o1; s2 plays either copy of that with one wait
+    more, p1 after o1 too or p2 after o2 too. Neither copy's order is
+    contained in s1's, yet together they have every trace of it."""
+    moves = ["o1", "o2", "p1", "p2"]
+    pol = {"o1": MINUS, "o2": MINUS, "p1": PLUS, "p2": PLUS}
+    g = game(event_structure(moves), pol)
+    src1 = Polarised(event_structure(moves, [("o2", "p1"), ("o1", "p2")]),
+                     pol)
+    s1 = in_game_strategy(src1, g, {m: m for m in moves})
+    events = ["o1", "o2", "p1a", "p2a", "p1b", "p2b"]
+    causes = [("o2", "p1a"), ("o1", "p2a"), ("o1", "p1a"),   # copy a
+              ("o2", "p1b"), ("o1", "p2b"), ("o2", "p2b")]   # copy b
+    conflicts = [(f"p{i}a", f"p{j}b") for i in (1, 2) for j in (1, 2)]
+    src2 = Polarised(event_structure(events, causes, conflicts),
+                     {e: pol[e[:2]] for e in events})
+    s2 = in_game_strategy(src2, g, {e: e[:2] for e in events})
+    return saturate_stopping(s1), saturate_stopping(s2)
+
+
 def test_trace_cap_is_checked_while_traces_are_generated():
     # the one stopping configuration has 9! = 362 880 traces
     s = concurrent_moves(9)
@@ -122,6 +156,56 @@ def test_trace_cap_is_checked_while_traces_are_generated():
     with pytest.raises(SizeBoundExceeded) as e:
         traces_of(s.strat, max(s.stopping, key=len), small)
     assert e.value.data == {"cap": 1000}
+
+
+def test_preorders_list_the_traces_of_a_configuration_no_order_covers(
+        monkeypatch):
+    # s1's full configuration has six traces, all of them s2's, but neither
+    # of s2's full configurations orders its moves inside s1's
+    s1, s2 = crossed_waits()
+    calls = []
+    listing = testing._linearisations
+    monkeypatch.setattr(testing, "_linearisations",
+                        lambda *args: calls.append(args[1]) or listing(*args))
+    assert must_preorder(s1, s2) == (True, None)
+    assert calls == [max(s1.stopping, key=len)]
+
+
+def game_named_by_tuples():
+    """A workspace holding one game whose events print flattened."""
+    ws = Workspace()
+    events = [(1, ("a", frozenset({"b"}))), (2, "c")]
+    ws.add(Definition("game", "g", game(event_structure(events),
+                                        dict.fromkeys(events, PLUS))))
+    return ws
+
+
+def reachable_cycles_left_by(call):
+    """The objects the cycle collector finds unreachable after call(), run
+    with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_engine_calls_leave_no_reference_cycles():
+    # a cycle keeps all it holds alive until the collector runs; the inputs
+    # are built first, and only the calls are watched
+    s1, s2 = crossed_waits()
+    es, ws = event_structure("abc", [("a", "b")]), game_named_by_tuples()
+    calls = {
+        "listing preorder": lambda: must_preorder(s1, s2),
+        "cliques": lambda: event_structure("abcd", conflicts=["ab", "cd"]),
+        "isomorphism": lambda: find_isomorphism(es, es),
+        "print": lambda: print_workspace(ws),
+    }
+    left = {name: reachable_cycles_left_by(call)
+            for name, call in calls.items()}
+    assert left == dict.fromkeys(calls, 0)
 
 
 def test_trace_cap_counts_distinct_traces_across_configurations():
@@ -341,6 +425,25 @@ def test_synthesize_must_rejects_realized_stopping_traces():
         synthesize_must_test(player, (fs("s"), ((3, "c"),)))
     with pytest.raises(GameMismatch):
         synthesize_must_test(fx.press_c(), (fs(), ()))
+
+
+@pytest.mark.parametrize("lower, played", [(MINUS, "ab"), (PLUS, "a")])
+def test_synthesis_refuses_a_gap_that_plays_a_move_before_its_cause(
+        lower, played):
+    # over a < b no strategy has the trace b a, so it is no gap, whether the
+    # second subject plays both moves or a alone
+    g = game(event_structure(["a", "b"], [("a", "b")]),
+             {"a": lower, "b": PLUS})
+    moves = list(played)
+    src = Polarised(event_structure(moves, [("a", "b")] if "b" in moves
+                                    else ()), {m: g.pol[m] for m in moves})
+    s = in_game_strategy(src, g, {m: m for m in moves})
+    gap = (fs(*moves), ((3, "b"), (3, "a")))
+    for synthesize, subject in ((synthesize_may_test, s),
+                                (synthesize_must_test, stop_of(s))):
+        with pytest.raises(NotAGap) as e:
+            synthesize(subject, gap)
+        assert e.value.data == {"trace": gap[1]}
 
 
 def test_synthesis_without_a_gap_is_a_bad_argument():
