@@ -5,7 +5,7 @@ from itertools import product
 
 from .errors import BadArgument, PolarityMismatch
 from .limits import DEFAULT_LIMITS
-from .structures import (EventStructure, ESMap, event_structure,
+from .structures import (EventStructure, event_structure,
                          maximal_sets, reflexive_closures, sortedevents)
 
 PLUS = "+"
@@ -99,9 +99,11 @@ def success_game():
     return game(event_structure([TICK]), {TICK: PLUS}, name="success")
 
 
+_FLIP = {PLUS: MINUS, MINUS: PLUS, NEUTRAL: NEUTRAL}
+
+
 def dual(pg):
-    flip = {PLUS: MINUS, MINUS: PLUS, NEUTRAL: NEUTRAL}
-    return Polarised(pg.es, {e: flip[p] for e, p in pg.pol.items()},
+    return Polarised(pg.es, {e: _FLIP[p] for e, p in pg.pol.items()},
                      name=pg.name and f"dual({pg.name})")
 
 
@@ -215,22 +217,22 @@ def _first_clash(pg, rivals, limits):
 
 
 def copycat(A):
-    """The copycat structure over a game A, with its map into dual(A) ∥ A.
+    """The copycat structure over a game A, on the events of dual(A) ∥ A.
 
-    Order: both component orders plus, for every Player event c of the
-    juxtaposition, the edge from its counterpart in the other component.
+    Order: both copies of A's order plus, for every Player event c of the
+    juxtaposition, the edge from its counterpart in the other copy.
     A finite set is consistent iff its causal closure here is consistent in
     the juxtaposition; maximal consistent sets are computed per pair of
     component maximal sets, and pruned, as these can nest: with Player moves
     p ~ q, the pair ({p}, {q}) keeps only (1, p), inside {(1, p), (2, p)}.
     """
     A.require_game("copycat")
-    target = parallel(dual(A), A, name=f"dual+{A.name}" if A.name else "")
-
-    preds = {te: set() for te in target.es.events}
-    for (i, a) in target.es.events:
-        preds[(i, a)] |= {(i, d) for d in A.es.strict_below(a)}
-    for a in A.es.events:
+    ordered = [(i, a) for i in (1, 2) for a in A.es.ordered]
+    pol = {(i, a): _FLIP[A.pol[a]] if i == 1 else A.pol[a]
+           for i, a in ordered}
+    preds = {(i, a): {(i, d) for d in A.es.strict_below(a)}
+             for i, a in ordered}
+    for a in A.es.ordered:
         if A.pol[a] == PLUS:
             preds[(2, a)].add((1, a))
         else:
@@ -244,8 +246,7 @@ def copycat(A):
             u0 = {(1, a) for a in m1} | {(2, a) for a in m2}
             maxcons.add(frozenset(e for e in u0 if below[e] <= u0))
 
-    cc_es = EventStructure(target.es.ordered, below, maximal_sets(maxcons),
+    # (i, a) sorts by i, then as a does: the two copies' orders, in turn
+    cc_es = EventStructure(ordered, below, maximal_sets(maxcons),
                            name=A.name and f"cc({A.name})")
-    cc = Polarised(cc_es, dict(target.pol), name=cc_es.name)
-    ccmap = ESMap(cc_es, target.es, {e: e for e in cc_es.events})
-    return cc, ccmap
+    return Polarised(cc_es, pol, name=cc_es.name)

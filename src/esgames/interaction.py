@@ -14,15 +14,17 @@ own. Only the primes are decoded, into events ("pr", pairs, top); an
 interaction's bijections are read as pair sets, each with its primes, on
 demand.
 
-Interaction pads the two strategies first: sigma: S -> dual(A) || M || B meets
-tau: T -> dual(B) || N || C over the flat five component ambient
-A || M || B || N || C, with S || N || C on the left against A || M || T on the
-right. The resulting pullback is read back as a bare strategy from A to C
+Interaction reads the two strategies' parts in place: sigma:
+S -> dual(A) || M || B meets tau: T -> dual(B) || N || C over the flat five
+component ambient A || M || B || N || C, with the parts S, N, C on the left
+against A, M, T on the right, their events tagged (i, e) as the padded
+juxtapositions S || N || C and A || M || T would tag them, though neither is
+built. The resulting pullback is read back as a bare strategy from A to C
 whose middle is M || B0 || N, where B0 is B with every event made neutral.
 
-Single pairs of configurations are matched without the padding: x of S and
-y of T pair exactly when their images on B agree and the two source orders,
-glued along that matching, are acyclic (see glue).
+Single pairs of configurations are matched without the parts of A, M, N and
+C: x of S and y of T pair exactly when their images on B agree and the two
+source orders, glued along that matching, are acyclic (see glue).
 """
 
 from functools import cached_property
@@ -144,18 +146,54 @@ def prime_top(p):
     return p[2]
 
 
-def _side_tables(es):
-    """For each event, its bit, the bits of its strict causes and its
-    membership mask, whose bit i is set when the event lies in es.maxcons[i];
-    and the mask of the empty set, with every bit set."""
-    bit = {e: 1 << i for i, e in enumerate(es.ordered)}
-    mask = dict.fromkeys(es.events, 0)
-    for i, m in enumerate(es.maxcons):
-        for e in m:
-            mask[e] |= 1 << i
-    tables = {e: (b, sum(map(bit.__getitem__, es.below(e))) - b, mask[e])
-              for e, b in bit.items()}
-    return tables, (1 << len(es.maxcons)) - 1
+def _side(parts):
+    """One side of a pullback, read in place from its parts (es, image),
+    image sending es's events into the common target. A lone part keeps its
+    events' names; several are tagged (i, e) from 1, as games.parallel tags
+    them, and each part's ranks follow those of the parts before it.
+
+    Returns a row (name, image, bit, bits of its strict causes, mask) per
+    event, in rank order with its bit at its rank, and the mask of the empty
+    set. A mask's bits index the product of the parts' maximal consistent
+    sets, the family of their juxtaposition: a set of events is consistent
+    exactly when the AND of their masks is non-zero. A part with one maximal
+    set adds nothing to it.
+    """
+    width = 1
+    for es, _ in parts:
+        width *= len(es.maxcons)
+    full = (1 << width) - 1
+    lone = len(parts) == 1
+    rows, offset, stride = [], 0, 1
+    for i, (es, image) in enumerate(parts, start=1):
+        bit = {e: 1 << k for k, e in enumerate(es.ordered, start=offset)}
+        offset += len(bit)
+        n = len(es.maxcons)
+        mask = dict.fromkeys(bit, full if n == 1 else 0)
+        if n > 1:
+            # the product indices whose digit here is d: runs of stride bits,
+            # one in each block of stride * n
+            block = stride * n
+            runs = ((1 << stride) - 1) * sum(1 << q
+                                             for q in range(0, width, block))
+            for d, m in enumerate(es.maxcons):
+                for e in m:
+                    mask[e] |= runs << d * stride
+            stride = block
+        rows += [(e if lone else (i, e), image[e], b,
+                  sum(map(bit.__getitem__, es.below(e))) - b, mask[e])
+                 for e, b in bit.items()]
+    return rows, full
+
+
+def _pairs_at(bits, on):
+    """The union of on[b] over the set bits b of bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= on.get(low, 0)
+        bits ^= low
+    return out
 
 
 class _BijectionTable:
@@ -181,39 +219,40 @@ class _BijectionTable:
         return frozenset(e for e, b in self.primes if not b & ~bits)
 
 
-def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
+def _enumerate_pullback(left, right, limits):
     """BFS over secured bijections, extending by one enabled matched pair.
 
-    A new pair joins above everything present, so securedness is preserved;
-    every secured bijection arises along a linearisation of its own order.
-    Candidate pairs are numbered once, and a bijection is the int of its
-    pairs' bits. Each frontier entry carries, per side, its set of events as
-    bits and the AND of its members' masks: a set is consistent exactly when
-    that AND is non-zero, so enabling a pair costs a few integer operations.
-    The prime a new pair tops is the closure of its bit under the pairs that
-    hold a strict cause of either of its events.
+    left and right are the two sides, each a list of parts (es, image) that
+    _side reads in place. A new pair joins above everything present, so
+    securedness is preserved; every secured bijection arises along a
+    linearisation of its own order. Candidate pairs are numbered once, and a
+    bijection is the int of its pairs' bits. Each frontier entry carries,
+    per side, its set of events as bits and the AND of its members' masks:
+    a set is consistent exactly when that AND is non-zero, so enabling a
+    pair costs a few integer operations. The prime a new pair tops is the
+    closure of its bit under the pairs that hold a strict cause of either of
+    its events.
     Returns the pullback's event structure and its _BijectionTable.
     """
     if limits.max_configs < 1:  # the empty bijection counts as one
         raise over_cap(limits.max_configs, "secured bijections")
-    ltab, lfull = _side_tables(left_es)
-    rtab, rfull = _side_tables(right_es)
+    lrows, lfull = _side(left)
+    rrows, rfull = _side(right)
     by_img_right = {}
-    for r, u in rmap.items():
-        by_img_right.setdefault(u, []).append(r)
-    pairs = [(l, r) for l in left_es.ordered
-             for r in by_img_right.get(lmap[l], ())]
-    on_left, on_right = {}, {}  # event -> bits of the pairs it lies in
-    for k, (l, r) in enumerate(pairs):
-        on_left[l] = on_left.get(l, 0) | 1 << k
-        on_right[r] = on_right.get(r, 0) | 1 << k
-    causes = [sum(on_left.get(d, 0) for d in left_es.below(l) if d != l)
-              | sum(on_right.get(d, 0) for d in right_es.below(r) if d != r)
-              for l, r in pairs]
-    partners = {}  # left event -> its tables and, per pair, the right's
-    for k, (l, r) in enumerate(pairs):
-        partners.setdefault(l, (*ltab[l], []))[3].append(
-            (*rtab[r], 1 << k, causes[k]))
+    for row in rrows:
+        by_img_right.setdefault(row[1], []).append(row)
+    matched = [(lrow, rrow) for lrow in lrows
+               for rrow in by_img_right.get(lrow[1], ())]
+    on_left, on_right = {}, {}  # event bit -> bits of the pairs it lies in
+    for k, (lrow, rrow) in enumerate(matched):
+        on_left[lrow[2]] = on_left.get(lrow[2], 0) | 1 << k
+        on_right[rrow[2]] = on_right.get(rrow[2], 0) | 1 << k
+    causes = [_pairs_at(lrow[3], on_left) | _pairs_at(rrow[3], on_right)
+              for lrow, rrow in matched]
+    partners = {}  # left event bit -> its tables and, per pair, the right's
+    for k, (lrow, rrow) in enumerate(matched):
+        partners.setdefault(lrow[2], (*lrow[2:], []))[3].append(
+            (*rrow[2:], 1 << k, causes[k]))
 
     frontier = [(0, 0, 0, lfull, rfull)]
     maximal = []
@@ -263,18 +302,20 @@ def _enumerate_pullback(left_es, lmap, right_es, rmap, limits):
         frontier = nxt
 
     # a prime's ekey compares its sorted pairs, then its top, and each side's
-    # rank orders that side's events as ekey does
-    lrank, rrank = left_es.rank, right_es.rank
+    # bit positions order that side's events as ekey does
+    pairs = [(lrow[0], rrow[0]) for lrow, rrow in matched]
+    ranks = [(lrow[2].bit_length() - 1, rrow[2].bit_length() - 1)
+             for lrow, rrow in matched]
     table = _BijectionTable(pairs, seen)
-    primes = [(table.pair_set(pr), pairs[top.bit_length() - 1], pr)
-              for pr, top in prime_registry.items()]
 
     def rank_key(item):
-        prs, (l, r), _ = item
-        return sorted((lrank[a], rrank[b]) for a, b in prs), (lrank[l], rrank[r])
+        pr, top = item
+        return (sorted(r for k, r in enumerate(ranks) if pr >> k & 1),
+                ranks[top.bit_length() - 1])
 
-    for prs, top, pr in sorted(primes, key=rank_key):
-        table.primes.append((prime_event(prs, top), pr))
+    for pr, top in sorted(prime_registry.items(), key=rank_key):
+        table.primes.append(
+            (prime_event(table.pair_set(pr), pairs[top.bit_length() - 1]), pr))
     below = {e: frozenset(d for d, db in table.primes if not db & ~pr)
              for e, pr in table.primes}
     # no maximal secured bijection lies inside another: the lowest pair of
@@ -290,8 +331,8 @@ def pullback(f, g, limits=DEFAULT_LIMITS):
     sending a prime to the two halves of its top pair.
     """
     _check_maps(f, g)
-    es, _ = _enumerate_pullback(f.src, dict(f.mapping), g.src,
-                                dict(g.mapping), limits)
+    es, _ = _enumerate_pullback([(f.src, f.mapping)], [(g.src, g.mapping)],
+                                limits)
     pi1 = ESMap(es, f.src, {p: prime_top(p)[0] for p in es.events})
     pi2 = ESMap(es, g.src, {p: prime_top(p)[1] for p in es.events})
     return es, pi1, pi2
@@ -301,8 +342,8 @@ def enumerate_secured_bijections(f, g):
     """All secured bijections of the two total maps into one target, as pair
     sets."""
     _check_maps(f, g)
-    _, table = _enumerate_pullback(f.src, dict(f.mapping), g.src,
-                                   dict(g.mapping), DEFAULT_LIMITS)
+    _, table = _enumerate_pullback([(f.src, f.mapping)], [(g.src, g.mapping)],
+                                   DEFAULT_LIMITS)
     return sorted(map(table.pair_set, table.bijections),
                   key=lambda th: (len(th), sorted(map(pairkey, th))))
 
@@ -311,8 +352,10 @@ def enumerate_secured_bijections(f, g):
 
 
 def _padding(sigma, tau):
-    """Left and right padded sources with their maps into the flat ambient
-    A || M || B || N || C (sigma: A -> B with middle M, tau: B -> C with N)."""
+    """Left and right padded sources, S || N || C and A || M || T, with
+    their maps into the flat ambient A || M || B || N || C (sigma: A -> B
+    with middle M, tau: B -> C with N). interact reads the same parts in
+    place; the tests check it against the pullback of these."""
     left = parallel(sigma.source, tau.N, tau.B)
     right = parallel(sigma.A, sigma.N, tau.source)
 
@@ -336,6 +379,11 @@ def _padding(sigma, tau):
     return left, right, lmap, rmap
 
 
+def _copies(pg, j):
+    """A part sending each event e of pg to its copy (j, e) in the ambient."""
+    return pg.es, {e: (j, e) for e in pg.es.ordered}
+
+
 def _ambient_to_target(u):
     """Flat ambient event -> event of dual(A) || (M || B0 || N) || C."""
     j, e = u
@@ -356,7 +404,7 @@ class Interaction(BareStrategy):
 
     @cached_property
     def primes_of(self):
-        """Each secured bijection of the padded sources, as a pair set, mapped
+        """Each secured bijection of the two sides, as a pair set, mapped
         to its set of primes, the interaction configuration it stands for.
         Decoded on first read."""
         t = self._bijections
@@ -372,15 +420,19 @@ def interact(sigma, tau, limits=DEFAULT_LIMITS):
     """
     if sigma.B != tau.A:
         raise MiddleGameMismatch("the two strategies do not share a middle game")
-    left, right, lmap, rmap = _padding(sigma, tau)
-    es, bijections = _enumerate_pullback(left.es, lmap, right.es, rmap,
-                                         limits)
+    smap = sigma.sigma.mapping
+    left = [(sigma.source.es, smap), _copies(tau.N, 4), _copies(tau.B, 5)]
+    right = [_copies(sigma.A, 1), _copies(sigma.N, 2),
+             (tau.source.es,
+              {t: (j + 2, u) for t, (j, u) in tau.sigma.mapping.items()})]
+    es, bijections = _enumerate_pullback(left, right, limits)
 
     a_pol = dual(sigma.A).pol
     pol = {}
     assign = {}
-    for p in es.events:
-        u = lmap[prime_top(p)[0]]
+    for p in es.ordered:
+        i, e = prime_top(p)[0]
+        u = smap[e] if i == 1 else (i + 2, e)
         assign[p] = _ambient_to_target(u)
         if component(u) == 1:
             pol[p] = a_pol[payload(u)]

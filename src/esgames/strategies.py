@@ -9,6 +9,8 @@ component typing with an empty middle, so target tags are uniformly
 (1, a) for the dual side, (2, n) for the middle and (3, b) for the B side.
 Kept data: BareStrategy.configurations(limits) is the one cap-bound root; all
 else kept is a cached_property read after its check, bar the matches_b memo.
+A strategy's target dual(A) || N || B is built on the first read of target
+or sigma.dst, and strategies over equal games share it while one holds it.
 """
 
 import weakref
@@ -58,6 +60,25 @@ def shared_target(game_a, middle, game_b):
     return target
 
 
+class _StrategyMap(ESMap):
+    """A strategy's map into dual(A) || N || B, whose target is taken from
+    shared_target on first read. It holds the three games, not the
+    strategy, so that no strategy sits in a reference cycle."""
+
+    def __init__(self, src, games, mapping):
+        self.src = src
+        self.mapping = dict(mapping)
+        self._games = games
+
+    @cached_property
+    def target(self):
+        return shared_target(*self._games)
+
+    @property
+    def dst(self):
+        return self.target.es
+
+
 class BareStrategy:
     """Holds source, games, middle and the assignment into dual(A) || N || B."""
 
@@ -67,10 +88,14 @@ class BareStrategy:
         self.A = game_a
         self.N = middle
         self.B = game_b
-        self.target = shared_target(game_a, middle, game_b)
-        self.sigma = ESMap(source.es, self.target.es, assign)
+        self.sigma = _StrategyMap(source.es, (game_a, middle, game_b), assign)
         self._configs = self._graph = None  # configurations(), with extensions
         self._matched = None  # matches_b: the last game found equal to B
+
+    @property
+    def target(self):
+        """dual(A) || N || B, built on first read and shared while held."""
+        return self.sigma.target
 
     @cached_property
     def is_strategy(self):
@@ -243,17 +268,18 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
                                  events=undefined))
         return diags
 
+    target = bs.target
     rep = validate_map(bs.sigma, limits, configs=bs.configurations(limits))
     diags.extend(rep.diagnostics)
 
     for s in bs.source.es.ordered:
         v = bs.sigma.mapping[s]
-        if v not in bs.target.events:
+        if v not in target.events:
             continue  # already reported by validate_map
-        if bs.source.pol[s] != bs.target.pol[v]:
+        if bs.source.pol[s] != target.pol[v]:
             diags.append(PolarityMismatch(
                 f"{s!r} has polarity {bs.source.pol[s]} but its image {v!r}"
-                f" has {bs.target.pol[v]}", event=s, image=v))
+                f" has {target.pol[v]}", event=s, image=v))
     if diags:
         return diags
 
@@ -263,8 +289,8 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
     # this implies the clause for any Opponent extension: the minimal new
     # events of a lifting have their causes in x, so it is built one step at
     # a time, and uniquely.
-    tgt = bs.target.es
-    opponent = sortedevents(bs.target.events_with(MINUS))
+    tgt = target.es
+    opponent = sortedevents(target.events_with(MINUS))
     for x, ext in bs.configuration_graph(limits).items():
         sx = bs.image(x)
         lifts = [bs.sigma.mapping[s] for s in ext if bs.source.pol[s] == MINUS]
@@ -280,7 +306,7 @@ def validate_bare_strategy(bs, limits=DEFAULT_LIMITS):
                     f"{count} liftings of {sortedevents(y)} over"
                     f" {sortedevents(x)}", x=x, y=y, count=count))
 
-    timm = bs.target.es.immediate_pairs()
+    timm = tgt.immediate_pairs()
     rank = bs.source.es.rank
     for s, s2 in sorted(bs.source.es.immediate_pairs(),
                         key=lambda p: (rank[p[0]], rank[p[1]])):
@@ -402,7 +428,7 @@ def saturate_stopping(st, limits=DEFAULT_LIMITS):
 
 def copycat_strategy(A):
     """Copycat as a strategy from A to A; valid by construction, so unchecked."""
-    cc, _ = copycat(A)
+    cc = copycat(A)
     assign = {}
     for (i, a) in cc.events:
         assign[(i, a)] = (1, a) if i == 1 else (3, a)

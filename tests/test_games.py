@@ -22,6 +22,7 @@ from esgames.games import (
     scott_leq,
     slice_config,
 )
+from esgames.strategies import copycat_strategy
 from esgames.structures import event_structure
 
 
@@ -162,12 +163,12 @@ def test_deterministic_examples():
 
 
 def test_copycat_deterministic_iff_race_free():
-    cc, _ = copycat(two_buttons())
+    cc = copycat(two_buttons())
     assert is_deterministic(cc)[0]
     racy = game(event_structure(["p", "m"], conflicts=[("p", "m")]),
                 {"p": PLUS, "m": MINUS})
     assert not is_race_free(racy)[0]
-    cc2, _ = copycat(racy)
+    cc2 = copycat(racy)
     assert not is_deterministic(cc2)[0]
 
 
@@ -190,16 +191,18 @@ def test_plus_maximal():
 
 def test_copycat_one_player_move():
     a = game(event_structure(["p"]), {"p": PLUS})
-    cc, ccmap = copycat(a)
+    cc = copycat(a)
     assert cc.pol == {(1, "p"): MINUS, (2, "p"): PLUS}
     assert cc.es.leq((1, "p"), (2, "p"))
     assert cc.configurations() == [fs(), fs((1, "p")), fs((1, "p"), (2, "p"))]
-    assert ccmap.mapping == {(1, "p"): (1, "p"), (2, "p"): (2, "p")}
-    assert ccmap.dst.events == cc.events
+    ccmap = copycat_strategy(a).sigma
+    assert ccmap.src == cc.es
+    assert ccmap.mapping == {(1, "p"): (1, "p"), (2, "p"): (3, "p")}
+    assert ccmap.dst.events == fs((1, "p"), (3, "p"))
 
 
 def test_copycat_two_buttons_has_no_cross_component_edges():
-    cc, _ = copycat(two_buttons())
+    cc = copycat(two_buttons())
     assert len(cc.events) == 4
     assert cc.es.immediate_pairs() == fs(
         ((1, "b1"), (2, "b1")), ((1, "b2"), (2, "b2")))
@@ -210,7 +213,7 @@ def test_copycat_prunes_the_nested_sets_of_a_player_conflict():
     # lies inside {(1, p), (2, p)}: only the two sets inside no other stay
     a = game(event_structure(["p", "q"], conflicts=[("p", "q")]),
              {"p": PLUS, "q": PLUS})
-    cc, _ = copycat(a)
+    cc = copycat(a)
     assert cc.es.maxcons == (fs((1, "p"), (2, "p")), fs((1, "q"), (2, "q")))
     assert cc.es == event_structure(
         [(1, "p"), (1, "q"), (2, "p"), (2, "q")],
@@ -219,16 +222,16 @@ def test_copycat_prunes_the_nested_sets_of_a_player_conflict():
 
 
 def test_copycat_empty():
-    cc, ccmap = copycat(EMPTY)
+    cc = copycat(EMPTY)
     assert cc.events == fs()
-    assert ccmap.mapping == {}
+    assert copycat_strategy(EMPTY).sigma.mapping == {}
 
 
 def test_copycat_configurations_match_scott_order():
     for g in (two_buttons(), alternating_chain(3),
               game(event_structure(["a", "b"], conflicts=[("a", "b")]),
                    {"a": PLUS, "b": MINUS})):
-        cc, _ = copycat(g)
+        cc = copycat(g)
         got = set(cc.configurations())
         want = set()
         for x in g.configurations():

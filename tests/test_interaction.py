@@ -1,8 +1,11 @@
 """Secured bijections, pullbacks, interaction, composition, stopping liftings."""
 
+import sys
+
 import pytest
 
 from esgames import fixtures as fx
+from esgames import games, strategies
 from esgames.errors import (Cycle, EndpointMismatch, ImageMismatch,
                             MapNotTotal, MiddleGameMismatch, NotRaceFree,
                             SizeBoundExceeded)
@@ -15,6 +18,7 @@ from esgames.games import (
     component,
     game,
     is_plus_maximal,
+    neutralise,
     payload,
 )
 from esgames.interaction import (
@@ -402,6 +406,40 @@ def test_the_stopping_liftings_check_races_under_the_callers_cap():
             lift(s, t, EngineLimits(max_configs=1))
         assert err.value.data == {"cap": 1}
         assert lift(s, t, EngineLimits(max_configs=4)).stopping == fs(fs())
+
+
+def test_interaction_builds_its_middle_alone_and_targets_on_first_read(
+        monkeypatch):
+    # the pullback reads the strategies' parts in place, and no strategy
+    # builds its target dual(A) || N || B before something reads it
+    sigma = fx.relay_b2_to_c()
+    cc = copycat_strategy(sigma.B)
+    real_parallel, real_target = games.parallel, strategies.shared_target
+    built, targets = [], []
+
+    def counted_parallel(*parts, **kw):
+        built.append(parts)
+        return real_parallel(*parts, **kw)
+
+    def counted_target(*three):
+        targets.append(three)
+        return real_target(*three)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("esgames") and \
+                getattr(mod, "parallel", None) is real_parallel:
+            monkeypatch.setattr(mod, "parallel", counted_parallel)
+    monkeypatch.setattr(strategies, "shared_target", counted_target)
+
+    comp = compose(sigma, cc)
+    square = interact(cc, cc)
+    assert built == [(sigma.N, neutralise(sigma.B), cc.N),
+                     (cc.N, neutralise(cc.B), cc.N)]
+    assert targets == []
+    assert comp.sigma.dst is comp.target.es
+    assert square.target.es is square.sigma.dst
+    assert targets == [(comp.A, comp.N, comp.B),
+                       (square.A, square.N, square.B)]
 
 
 def copycat_square(g):

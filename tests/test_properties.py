@@ -50,6 +50,8 @@ from esgames.games import (
     slice_config,
 )
 from esgames.interaction import (
+    _ambient_to_target,
+    _enumerate_pullback,
     _padding,
     compose,
     compose_stopping,
@@ -162,7 +164,7 @@ def test_maximal_consistent_sets_of_binary_conflicts(graph):
 @settings(max_examples=40, deadline=None)
 def test_copycat_configurations_are_scott_pairs(seed):
     g = random_game(random.Random(seed), 4, race_free=False)
-    cc, _ = copycat(g)
+    cc = copycat(g)
     got = {(frozenset(slice_config(w, 1)), frozenset(slice_config(w, 2)))
            for w in cc.es.configurations()}
     want = {(x, y)
@@ -175,20 +177,23 @@ def test_copycat_configurations_are_scott_pairs(seed):
 @settings(max_examples=40, deadline=None)
 def test_copycat_deterministic_exactly_on_race_free_games(seed):
     g = random_game(random.Random(seed), 4, race_free=False)
-    cc, _ = copycat(g)
+    cc = copycat(g)
     assert is_deterministic(cc)[0] == is_race_free(g)[0]
+
+
+def _fixture_builds():
+    """What each fixture builder without arguments builds, a stopping
+    strategy read as its strategy."""
+    return [strategy_of(fn()) for fn in vars(fx).values()
+            if getattr(fn, "__module__", None) == fx.__name__
+            and all(p.default is not p.empty
+                    for p in inspect.signature(fn).parameters.values())]
 
 
 def _fixture_games():
     """Every game a fixture builder without arguments builds or plays in."""
     found = []
-    for name, fn in vars(fx).items():
-        if (getattr(fn, "__module__", None) != fx.__name__
-                or any(p.default is p.empty
-                       for p in inspect.signature(fn).parameters.values())):
-            continue
-        made = fn()
-        made = getattr(made, "strat", made)
+    for made in _fixture_builds():
         for g in ((made.A, made.B) if isinstance(made, BareStrategy)
                   else (made,)):
             if NEUTRAL not in g.pol.values() and g not in found:
@@ -425,6 +430,85 @@ def test_interaction_primes_of_match_the_exhaustive_oracle(seed):
     inter = interact(sigma, tau)
     assert inter.primes_of == primes_of
     assert inter.source.events == frozenset().union(*primes_of.values())
+
+
+def padded_interaction(sigma, tau, limits=DEFAULT_LIMITS):
+    """interact as built over the padded juxtapositions S || N || C and
+    A || M || T, the oracle for the parts read in place: the pullback's
+    structure, the polarity and assignment each prime takes from its top
+    pair's left event, and each bijection with its primes."""
+    left, right, lmap, rmap = _padding(sigma, tau)
+    es, table = _enumerate_pullback([(left.es, lmap)], [(right.es, rmap)],
+                                    limits)
+    a_pol = dual(sigma.A).pol
+    pol, assign = {}, {}
+    for p in es.events:
+        j, u = lmap[prime_top(p)[0]]
+        assign[p] = _ambient_to_target((j, u))
+        pol[p] = a_pol[u] if j == 1 else tau.B.pol[u] if j == 5 else NEUTRAL
+    primes_of = {table.pair_set(th): table.primes_in(th)
+                 for th in table.bijections}
+    return es, pol, assign, primes_of
+
+
+def assert_interaction_is_the_padded_one(sigma, tau):
+    want, pol, assign, primes_of = padded_interaction(sigma, tau)
+    inter = interact(sigma, tau)
+    es = inter.source.es
+    assert es.ordered == want.ordered
+    assert all(es.below(e) == want.below(e) for e in es.ordered)
+    assert es.maxcons == want.maxcons
+    assert inter.source.pol == pol and inter.sigma.mapping == assign
+    assert inter.primes_of == primes_of
+    # each cap one below the exact count raises the same error on both paths
+    for cap, count in (("max_configs", len(primes_of)),
+                       ("max_primes", len(es.events))):
+        if not count:
+            continue
+        limits = EngineLimits(**{cap: count - 1})
+        raised = []
+        for build in (interact, padded_interaction):
+            with pytest.raises(SizeBoundExceeded) as err:
+                build(sigma, tau, limits)
+            raised.append((str(err.value), err.value.data))
+        assert raised[0] == raised[1] and raised[0][1] == {"cap": count - 1}
+
+
+@given(seeds)
+@example(10)  # conflicts on both padded sides
+@settings(max_examples=100, deadline=None)
+def test_interaction_reads_the_parts_as_the_padding_did(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_game(rng, 3, name=n) for n in "ABC")
+    sigma, tau = random_bare(rng, a, b), random_bare(rng, b, c)
+    for s, t in ((sigma, tau), (copycat_strategy(a), sigma),
+                 (sigma, copycat_strategy(b))):
+        assert_interaction_is_the_padded_one(s, t)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_copycat_squares_on_concurrent_moves_read_as_padded(n):
+    names = [f"c{i}" for i in range(n)]
+    cc = copycat_strategy(game(event_structure(names),
+                               {e: PLUS for e in names}))
+    assert_interaction_is_the_padded_one(cc, cc)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_copycat_squares_on_chains_read_as_padded(m):
+    names = [f"k{i}" for i in range(m)]
+    g = game(event_structure(names, causes=list(zip(names, names[1:]))),
+             {e: (PLUS, MINUS)[i % 2] for i, e in enumerate(names)})
+    cc = copycat_strategy(g)
+    assert_interaction_is_the_padded_one(cc, cc)
+
+
+def test_fixture_pairs_interact_as_padded():
+    strats = [s for s in _fixture_builds() if isinstance(s, BareStrategy)]
+    pairs = [(s, t) for s in strats for t in strats if s.B == t.A]
+    assert len(pairs) >= 30
+    for s, t in pairs:
+        assert_interaction_is_the_padded_one(s, t)
 
 
 def test_padded_pairs_have_conflicts_on_both_sides():
@@ -1027,7 +1111,7 @@ def test_inherited_event_orders_are_the_ekey_orders(seed):
     for built in (a, b, sigma.source, tau.source):  # binary event_structure
         assert_as_built(built.es)
     assert_as_built(parallel(dual(a), sigma.N, b).es)
-    assert_as_built(copycat(a)[0].es)
+    assert_as_built(copycat(a).es)
     inter = interact(sigma, tau)
     for es in (inter.source.es, inter.N.es):
         assert_as_built(es)

@@ -217,3 +217,15 @@ def test_no_nested_function_in_src_names_itself():
                         for stmt in fn.body for n in ast.walk(stmt)):
                     found.add(f"{path}:{fn.lineno}: {fn.name}")
     assert not found, "\n".join(sorted(found))
+
+
+def test_src_calls_the_padded_oracle_nowhere():
+    # interact reads the strategies' parts in place: the padded
+    # juxtapositions interaction._padding builds are the tests' oracle only
+    found = [f"{path}:{node.lineno}"
+             for path, tree in sources("src")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and (getattr(node.func, "id", None)
+                  or getattr(node.func, "attr", None)) == "_padding"]
+    assert not found, "\n".join(found)
