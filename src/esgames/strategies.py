@@ -189,9 +189,14 @@ class BareStrategy:
                    if no_plus_extension(self.source, ext))
         return _stopped_visible(self, maximal, self.name and f"st({self.name})")
 
+    def ticking_runs(self, limits=DEFAULT_LIMITS):
+        """A test's runs that reach success, in configuration order; see
+        _runs."""
+        self.configurations(limits)
+        return self._ticking
+
     @cached_property
-    def ticking_runs(self):
-        """A test's runs that reach success, once configurations() ran."""
+    def _ticking(self):
         return _runs(self, self._configs, True)
 
     def matches_b(self, game):

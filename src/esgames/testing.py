@@ -16,15 +16,14 @@ The may and must preorders are trace inclusion and stopping-trace inclusion,
 decided from the same kept orders, grouped by image: every trace of x is one
 of the second strategy's when some configuration with x's image orders the
 moves inside x's order. Only where no single one does are x's
-linearisations listed (_gap). The configuration cap bounds each subject's
-distinct traces there, which _cap_traces counts without listing them.
-traces_of, finite_traces and stopping_traces list traces themselves.
+linearisations listed (_gap). The configuration cap bounds the traces listed
+for one configuration (_linearisations) and the distinct traces that
+finite_traces and stopping_traces gather across configurations (_trace_index).
 """
 
 from collections import OrderedDict, namedtuple
 from itertools import (chain, combinations, combinations_with_replacement,
                        groupby, permutations, product)
-from math import factorial
 
 from .errors import (BadArgument, Cycle, GameMismatch, InvalidStructure,
                      NotAConfiguration, NotAGap)
@@ -53,15 +52,19 @@ _SUCCESS = success_game()  # the game every test targets
 # ---- traces ------------------------------------------------------------------------
 
 
-def _linearisations(sigma, x):
+def _linearisations(sigma, x, limits):
     """Yield the image of each linear extension of the order inside x, least
-    first by ekey. The images are pairwise distinct where sigma is
+    first by ekey; raise SizeBoundExceeded in place of the one past
+    limits.max_configs. The images are pairwise distinct where sigma is
     injective on x, as on every configuration of a strategy."""
     m, strict_below = sigma.sigma.mapping, sigma.source.es.strict_below
     events = sorted(x, key=lambda s: ekey(m[s]))
     pos = {s: i for i, s in enumerate(events)}
     preds = [sum(1 << pos[d] for d in strict_below(s)) for s in events]
-    return _extend([m[s] for s in events], preds, 0, ())
+    for n, trace in enumerate(_extend([m[s] for s in events], preds, 0, ())):
+        if n == limits.max_configs:
+            raise over_cap(limits.max_configs, "traces of one configuration")
+        yield trace
 
 
 def _extend(images, preds, placed, prefix):
@@ -88,13 +91,7 @@ def traces_of(sigma, x, limits=DEFAULT_LIMITS):
     if not sigma.source.es.is_configuration(x):
         raise NotAConfiguration(
             f"{sortedevents(x)} is not a configuration", member=frozenset(x))
-    out = set()
-    for tr in _linearisations(sigma, x):
-        out.add(tr)
-        if len(out) > limits.max_configs:
-            raise over_cap(limits.max_configs,
-                           "traces of one configuration")
-    return frozenset(out)
+    return frozenset(_linearisations(sigma, x, limits))
 
 
 def _trace_index(sigma, configs, limits):
@@ -177,9 +174,8 @@ def may_pass(subject, test, limits=DEFAULT_LIMITS):
     """
     sub = strategy_of(subject).visible
     _check_test_shape(sub, test)
-    tvis = test.visible
-    tvis.configurations(limits)
-    wit = _first_glued(tvis.ticking_runs, sub.configurations_by_image(limits))
+    wit = _first_glued(test.visible.ticking_runs(limits),
+                       sub.configurations_by_image(limits))
     return _FAILED if wit is None else Verdict(True, wit)
 
 
@@ -225,23 +221,23 @@ def _chain(bits):
     return tuple((b, sum(bits[:i])) for i, b in enumerate(bits) if i)
 
 
-def _least_missing(v1, x, p, v2, members):
+def _least_missing(v1, x, p, v2, members, limits):
     """The least trace of x, of order p, by ekey that no member (y, y's
     order) of v2 has, or None. A trace is a chain, which y has when y's
     order is within it. Where x plays a move twice (p None) no order gives
     its traces, and they are compared with those of the members that play
     a move twice too, the only ones that can share them."""
-    traces = _linearisations(v1, x)
+    traces = _linearisations(v1, x, limits)
     if p is None:
         others = {t for y, q in members if q is None
-                  for t in _linearisations(v2, y)}
+                  for t in _linearisations(v2, y, limits)}
         return next((t for t in traces if t not in others), None)
     return next((t for t in traces
                  if not any(_within(q, _chain(list(map(v1.move_bit, t))))
                             for _, q in members)), None)
 
 
-def _gap(v1, groups1, v2, groups2):
+def _gap(v1, groups1, v2, groups2, limits):
     """The shortlex-least trace, by ekey, of the configurations of v1 in
     groups1 that none of v2's in groups2 has, with the least configuration
     realising it; None when there is none. Groups are by image on B, as
@@ -253,7 +249,8 @@ def _gap(v1, groups1, v2, groups2):
     so a y of v2 with x's image has every trace of x exactly when y's order
     is contained in x's: x is then covered. Only an uncovered x has its
     linearisations listed, least first, each against the orders of v2's
-    configurations with its image; with none, the first is missing.
+    configurations with its image; with none, the first is missing. Each
+    listing is capped by limits (_linearisations).
     """
     best = key = None
     on_a = bool(v1.A.events)
@@ -266,7 +263,7 @@ def _gap(v1, groups1, v2, groups2):
                     if not on_a or v2.image_on(1, y) == v1.image_on(1, x)]
             if p is not None and any(_within(q, p) for _, q in same):
                 continue
-            trace = _least_missing(v1, x, p, v2, same)
+            trace = _least_missing(v1, x, p, v2, same, limits)
             if trace is not None:
                 k = len(trace), tuple(map(ekey, trace))
                 if key is None or k < key:
@@ -274,47 +271,13 @@ def _gap(v1, groups1, v2, groups2):
     return best
 
 
-def _cap_traces(sigma, tops, prefixes, limits):
-    """Raise SizeBoundExceeded when sigma has more than limits.max_configs
-    distinct traces among those of the configurations tops, and of the
-    configurations below them when prefixes is true. They are counted, not
-    listed: the traces that one set of pairs (configuration, top it lies
-    in) realises extend alike, so each such set is walked once, weighted by
-    the number of traces that reach it. A configuration of n events has at
-    most n! traces, and at most (n + 1)! with their prefixes, so the
-    count is made only when those bounds exceed the cap."""
-    cap, count = limits.max_configs, 0
-    if sum(factorial(len(z) + prefixes) for z in tops) <= cap:
-        return
-    below, m = sigma.source.es.strict_below, sigma.sigma.mapping
-    layer = {frozenset((frozenset(), z) for z in tops): 1}
-    while layer:
-        nxt = {}
-        for pairs, n in layer.items():
-            if prefixes or any(len(x) == len(z) for x, z in pairs):
-                count += n
-                if count > cap:
-                    raise over_cap(cap, "distinct traces")
-            steps = {}
-            for x, z in pairs:
-                for s in z - x:
-                    if below(s) <= x:
-                        steps.setdefault(m[s], set()).add((x | {s}, z))
-            for step in map(frozenset, steps.values()):
-                nxt[step] = nxt.get(step, 0) + n
-        layer = nxt
-
-
 def may_preorder(sigma1, sigma2, limits=DEFAULT_LIMITS):
     """Trace inclusion; holds iff sigma2 may-passes every test sigma1 does.
     Decided by order inclusion over each image group (_gap)."""
     v1, v2 = strategy_of(sigma1).visible, strategy_of(sigma2).visible
     _require_same_game(v1, v2)
-    for v in (v1, v2):
-        _cap_traces(v, [x for x, ext in v.configuration_graph(limits).items()
-                        if not ext], True, limits)
     gap = _gap(v1, v1.configurations_by_image(limits),
-               v2, v2.configurations_by_image(limits))
+               v2, v2.configurations_by_image(limits), limits)
     return gap is None, gap
 
 
@@ -325,10 +288,8 @@ def must_preorder(s1, s2, limits=DEFAULT_LIMITS):
         raise GameMismatch("the must preorder compares stopping strategies")
     s1, s2 = s1.visible, s2.visible
     _require_same_game(s1.strat, s2.strat)
-    for s in (s1, s2):
-        _cap_traces(s.strat, s.sorted_stopping(), False, limits)
     gap = _gap(s1.strat, s1.stopping_by_image(),
-               s2.strat, s2.stopping_by_image())
+               s2.strat, s2.stopping_by_image(), limits)
     return gap is None, gap
 
 
@@ -527,7 +488,8 @@ def enumerate_tests(g, max_events=4, bare=False):
     object, under another name, since names are not part of a game's value.
     Tests over equal games and middles share one target, as all strategies
     over equal (A, N, B) do while some strategy holds it. Raises BadArgument
-    unless max_events is an int of at least 0.
+    unless max_events is an int of at least 0, and PolarityMismatch when g
+    has a neutral event.
     """
     if isinstance(max_events, bool) or not isinstance(max_events, int) \
             or max_events < 0:
@@ -536,6 +498,7 @@ def enumerate_tests(g, max_events=4, bare=False):
     key = g, max_events, bare
     found = _kept.pop(key, None)
     if found is None:
+        g.require_game("test enumeration")
         found = tuple(t for combo in _combos(g, max_events, bare)
                       for t in _skeletons(g, combo))
         held = len(found) + sum(map(len, _kept.values()))

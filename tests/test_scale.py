@@ -66,8 +66,9 @@ def test_copycat_square_on_8_concurrent_moves_in_96_mb():
 # every configuration of n concurrent moves is covered by the one with its
 # image, or has none, so no trace is listed: listing them took 8.5 s and
 # 354 MB for may_preorder(s, s) at n = 9. 14 moves have about 2.4e11
-# traces, counted, not listed, against the cap: the default one raises, and
-# one above their number lets the preorders decide
+# traces, more than either cap. The caps bound the work done, not the
+# traces that would be listed, so under both the preorders walk the 2^14
+# configurations, list no trace and decide
 CONCURRENT_PREORDERS = """
 import resource
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
@@ -98,6 +99,6 @@ for limits in (EngineLimits(), EngineLimits(max_configs=2 ** 40)):
 def test_preorders_on_14_concurrent_moves_in_256_mb():
     got = subprocess.run([sys.executable, "-c", CONCURRENT_PREORDERS],
                          cwd=SRC, capture_output=True, text=True, timeout=20)
-    assert got.stdout.splitlines() == 3 * ["{'cap': 1048576}"] + [
+    assert got.stdout.splitlines() == 2 * [
         "(True, None)", "(False, (frozenset({'m00'}), ((3, 'm00'),)))",
         "(True, None)"], got.stderr[-2000:]

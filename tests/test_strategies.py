@@ -419,6 +419,15 @@ def test_stop_of_takes_the_visible_part_which_is_a_strategy_itself():
     assert stop_of(b).strat is b.visible
 
 
+def test_a_test_s_ticking_runs_are_read_through_the_root():
+    # a bare test's visible part is built with nothing derived on it
+    vis = _fresh(fx.neutral_probe()).visible
+    runs = vis.ticking_runs()
+    assert [y for _, y, _ in runs] == [frozenset({"tick"}),
+                                       frozenset({"u", "tick"})]
+    assert vis.ticking_runs() is runs
+
+
 def test_a_smaller_cap_on_a_later_read_raises_and_the_count_reads_the_kept():
     # either of two conflicting Opponent moves: three configurations, one
     # trace each, met by a test that succeeds at once, with two of its own
@@ -433,21 +442,25 @@ def test_a_smaller_cap_on_a_later_read_raises_and_the_count_reads_the_kept():
     n = len(configs)
     by_image, st = subject.configurations_by_image(), stop_of(subject)
     traces, verdict = finite_traces(subject), may_pass(subject, test)
-    assert n == len(traces) == 3 and verdict
-    for read in (subject.configurations, subject.configurations_by_image,
-                 lambda limits: stop_of(subject, limits),
-                 lambda limits: finite_traces(subject, limits),
-                 lambda limits: may_pass(subject, test, limits),
-                 lambda limits: must_pass(subject, test, limits)):
+    runs, m = test.ticking_runs(), len(test.configurations())
+    assert n == len(traces) == 3 and verdict and m == 2
+    for count, read in ((n, subject.configurations),
+                        (n, subject.configurations_by_image),
+                        (n, lambda limits: stop_of(subject, limits)),
+                        (n, lambda limits: finite_traces(subject, limits)),
+                        (n, lambda limits: may_pass(subject, test, limits)),
+                        (n, lambda limits: must_pass(subject, test, limits)),
+                        (m, test.ticking_runs)):
         with pytest.raises(SizeBoundExceeded) as e:
-            read(EngineLimits(max_configs=n - 1))
-        assert e.value.data == {"cap": n - 1}
+            read(EngineLimits(max_configs=count - 1))
+        assert e.value.data == {"cap": count - 1}
     at = EngineLimits(max_configs=n)
     assert subject.configurations(at) is configs
     assert subject.configurations_by_image(at) is by_image
     assert stop_of(subject, at) is st
     assert finite_traces(subject, at) == traces
     assert may_pass(subject, test, at) == verdict
+    assert test.ticking_runs(EngineLimits(max_configs=m)) is runs
 
 
 def test_strategy_level_reads_do_not_enumerate_the_source_again(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from esgames import fixtures as fx
 from esgames import testing
 from esgames.errors import (BadArgument, GameMismatch, NotAConfiguration,
-                            NotAGap, SizeBoundExceeded)
+                            NotAGap, PolarityMismatch, SizeBoundExceeded)
 from esgames.games import EMPTY, MINUS, NEUTRAL, PLUS, Polarised, game
 from esgames.interaction import compose_stopping, interact_stopping
 from esgames.limits import DEFAULT_LIMITS, EngineLimits
@@ -147,12 +147,11 @@ def crossed_waits():
 
 
 def test_trace_cap_is_checked_while_traces_are_generated():
-    # the one stopping configuration has 9! = 362 880 traces
+    # the one stopping configuration has 9! = 362 880 traces; the preorder
+    # covers it by its own order and lists none of them
     s = concurrent_moves(9)
     small = EngineLimits(max_configs=1000)
-    with pytest.raises(SizeBoundExceeded) as e:
-        must_preorder(s, s, small)
-    assert e.value.data == {"cap": 1000}
+    assert must_preorder(s, s, small) == (True, None)
     with pytest.raises(SizeBoundExceeded) as e:
         traces_of(s.strat, max(s.stopping, key=len), small)
     assert e.value.data == {"cap": 1000}
@@ -169,6 +168,15 @@ def test_preorders_list_the_traces_of_a_configuration_no_order_covers(
                         lambda *args: calls.append(args[1]) or listing(*args))
     assert must_preorder(s1, s2) == (True, None)
     assert calls == [max(s1.stopping, key=len)]
+
+
+def test_the_traces_a_preorder_lists_are_capped():
+    # s1's full stopping configuration has six traces, all listed
+    s1, s2 = crossed_waits()
+    with pytest.raises(SizeBoundExceeded) as e:
+        must_preorder(s1, s2, EngineLimits(max_configs=5))
+    assert e.value.data == {"cap": 5}
+    assert must_preorder(s1, s2, EngineLimits(max_configs=6)) == (True, None)
 
 
 def game_named_by_tuples():
@@ -651,6 +659,15 @@ def test_the_budget_is_a_count_on_a_cold_and_on_a_warm_table():
     rejected()  # nothing is kept for g yet
     assert [len(enumerate_tests(g, n)) for n in (0, 1, 2)] == [1, 3, 7]
     rejected()  # 2.0 and True would hit the kept budgets 2 and 1
+
+
+def test_tests_are_enumerated_over_games_only():
+    # a neutral move is no move of a game: every candidate would fail
+    # validation, which left the list empty
+    g = Polarised(event_structure(["u", "a"]), {"u": NEUTRAL, "a": PLUS})
+    with pytest.raises(PolarityMismatch) as err:
+        enumerate_tests(g, 2)
+    assert err.value.data == {"neutrals": frozenset({"u"})}
 
 
 def counting_builds(monkeypatch):
