@@ -107,12 +107,8 @@ class NotEpi(EsgError):
     pass
 
 
-class BadArgument(EsgError, AssertionError):
-    """An entry point was given an argument outside what it accepts.
-
-    Also an AssertionError: these checks were asserts once, and callers may
-    still catch that.
-    """
+class BadArgument(EsgError):
+    """An entry point was given an argument outside what it accepts."""
 
 
 class EndpointMismatch(BadArgument):

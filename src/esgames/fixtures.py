@@ -1,7 +1,8 @@
-"""Shared example games and strategies used by the tests and the scripts.
+"""Shared example games and strategies, used by the tests.
 
-Names describe behaviour. All builders are cached and fully validated on
-first use; the two that take parameters keep their last few results.
+Names describe behaviour. Every builder fully validates what it builds. The
+builders without parameters are cached, chain_game and chain_climbers keep
+their last few results, and idle(g) builds anew on each call.
 """
 
 from functools import cache, lru_cache

@@ -27,8 +27,6 @@ C: x of S and y of T pair exactly when their images on B agree and the two
 source orders, glued along that matching, are acyclic (see glue).
 """
 
-from functools import cached_property
-
 from .errors import (
     Cycle,
     EndpointMismatch,
@@ -48,7 +46,8 @@ from .games import (
     payload,
 )
 from .limits import DEFAULT_LIMITS, over_cap
-from .strategies import BareStrategy, StoppingStrategy, visible_part
+from .strategies import (BareStrategy, StoppingStrategy, require_stopping,
+                         visible_part)
 from .structures import (ESMap, EventStructure, ekey, reflexive_closures,
                          sortedevents)
 
@@ -402,11 +401,11 @@ class Interaction(BareStrategy):
         super().__init__(source, game_a, middle, game_b, assign, name=name)
         self._bijections = bijections  # the pullback's _BijectionTable
 
-    @cached_property
+    @property
     def primes_of(self):
         """Each secured bijection of the two sides, as a pair set, mapped
         to its set of primes, the interaction configuration it stands for.
-        Decoded on first read."""
+        Decoded on each read."""
         t = self._bijections
         return {t.pair_set(th): t.primes_in(th) for th in t.bijections}
 
@@ -450,7 +449,7 @@ def interact(sigma, tau, limits=DEFAULT_LIMITS):
 def compose(sigma, tau, limits=DEFAULT_LIMITS):
     """Composition with hiding: the visible part of the interaction."""
     inter = interact(sigma, tau, limits)
-    vis, _, _ = visible_part(inter)
+    vis = visible_part(inter)
     vis.name = f"({tau.name} . {sigma.name})"
     return vis
 
@@ -554,12 +553,14 @@ def _stopping_pairings(s, t, limits):
 
 def interact_stopping(s, t, limits=DEFAULT_LIMITS):
     """Interaction of stopping strategies: pair the stopping sets."""
+    require_stopping("interact_stopping", s, t)
     stopping = {got[0] for got in _stopping_pairings(s, t, limits)}
     return StoppingStrategy(interact(s.strat, t.strat, limits), stopping)
 
 
 def compose_stopping(s, t, limits=DEFAULT_LIMITS):
     """Composition of stopping strategies: hide, pairing the stopping sets."""
+    require_stopping("compose_stopping", s, t)
     stopping = {got[1] for got in _stopping_pairings(s, t, limits)}
     return StoppingStrategy(compose(s.strat, t.strat, limits), stopping)
 

@@ -39,12 +39,6 @@ def random_game(rng, max_events=5, min_events=1, race_free=True, name=""):
                 {f"a{i}": PLUS for i in range(n)}, name=name)
 
 
-def _target_shape(A, middle, B):
-    """Polarity, immediate order and conflict pairs of dual(A) || N || B."""
-    t = shared_target(A, middle, B)
-    return t.pol, t.es.immediate_pairs(), t.es.inconsistent_pairs()
-
-
 def _receptive_core(tpol, torder, picked):
     """Close a picked event set under Opponent moves it would have to admit."""
     strict = {e: set() for e in tpol}
@@ -137,17 +131,19 @@ def random_bare(rng, A, B, min_neutrals=0):
 
 def _draw(rng, A, middle, B, build):
     """build(source, assign) on random candidates over dual(A) || N || B
-    until one validates, else on the fallback source."""
-    tpol, torder, tclashes = _target_shape(A, middle, B)
+    until one validates, else on the fallback source. The target is held
+    for the whole draw, so that validation reads the one built here."""
+    target = shared_target(A, middle, B)
+    shape = target.pol, target.es.immediate_pairs(), \
+        target.es.inconsistent_pairs()
     for _ in range(ATTEMPTS):
-        events, causes, conflicts, pol, assign = _random_source(
-            rng, tpol, torder, tclashes)
+        events, causes, conflicts, pol, assign = _random_source(rng, *shape)
         try:
             return build(Polarised(event_structure(events, causes, conflicts),
                                    pol), assign)
         except InvalidStructure:
             continue
-    return build(*_fallback_source(tpol, torder, tclashes))
+    return build(*_fallback_source(*shape))
 
 
 def random_stopping(rng, st):

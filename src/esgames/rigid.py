@@ -12,7 +12,8 @@ from collections import namedtuple
 from .errors import BadArgument
 from .games import Polarised, no_plus_extension
 from .limits import DEFAULT_LIMITS
-from .strategies import StoppingStrategy, strategy
+from .strategies import (BareStrategy, StoppingStrategy, require_stopping,
+                         strategy)
 from .structures import ekey, event_structure
 
 
@@ -86,7 +87,7 @@ def rigid_image(sigma, limits=DEFAULT_LIMITS):
     Returns (sigma0, f): sigma0 plays one event per distinct history, f sends
     each source event to its history and is a rigid epi 2-cell onto sigma0.
     """
-    if not sigma.is_strategy:
+    if not (isinstance(sigma, BareStrategy) and sigma.is_strategy):
         raise BadArgument("rigid_image expects a neutral-free strategy")
     f = {s: prime_of(sigma, s) for s in sigma.source.events}
     events = set(f.values())
@@ -105,6 +106,7 @@ def rigid_image(sigma, limits=DEFAULT_LIMITS):
 
 def rigid_image_stopping(st, limits=DEFAULT_LIMITS):
     """Collapse a stopping strategy; stopping sets carry over by direct image."""
+    require_stopping("rigid_image_stopping", st)
     sigma0, f = rigid_image(st.strat, limits)
     stopping = {frozenset(f[s] for s in y) for y in st.stopping}
     return StoppingStrategy(sigma0, stopping,
@@ -148,6 +150,7 @@ def lint_stopping(st):
     image can create +-maximal configurations out of nowhere, so neither
     inclusion between stopping and +-maximal survives transport.
     """
+    require_stopping("lint_stopping", st)
     src, graph = st.strat.source, st.strat.configuration_graph()
     maximal = [x for x, ext in graph.items() if no_plus_extension(src, ext)]
     findings = [LintFinding(NO_STOPPING_EXTENSION, x) for x in graph

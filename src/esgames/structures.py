@@ -15,7 +15,6 @@ games.copycat.
 """
 
 from collections import Counter, namedtuple
-from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -92,19 +91,6 @@ class EventStructure:
     def strict_below(self, e):
         return self.below(e) - {e}
 
-    def above(self, e):
-        if e not in self._above:
-            raise UnknownEvent(f"unknown event {e!r}", event=e)
-        return self._above[e]
-
-    @cached_property
-    def _above(self):
-        ab = {f: set() for f in self.events}
-        for f in self.events:
-            for d in self._below[f]:
-                ab[d].add(f)
-        return {f: frozenset(s) for f, s in ab.items()}
-
     def leq(self, a, b):
         return a in self.below(b)
 
@@ -116,10 +102,6 @@ class EventStructure:
 
     def immediate_pairs(self):
         """Cover pairs (a, b): a < b with nothing strictly between."""
-        return self._immediate
-
-    @cached_property
-    def _immediate(self):
         pairs = set()
         for b in self.events:
             preds = self.strict_below(b)
@@ -226,10 +208,6 @@ class EventStructure:
                 and set(self.maxcons) == set(other.maxcons))
 
     def __hash__(self):
-        return self._hash
-
-    @cached_property
-    def _hash(self):
         return hash((self.events, frozenset(self._below.items()),
                      frozenset(self.maxcons)))
 
@@ -547,11 +525,12 @@ def find_isomorphism(e1, e2, label1=None, label2=None, budget=200_000):
     label1 = label1 or {}
     label2 = label2 or {}
 
-    def inv(es, lab, e):
-        return (lab.get(e), len(es.below(e)), len(es.above(e)))
+    def invariants(es, lab):
+        # an event's label and the sizes of its down-set and up-set
+        ups = Counter(d for e in es.ordered for d in es.below(e))
+        return {e: (lab.get(e), len(es.below(e)), ups[e]) for e in es.ordered}
 
-    inv1 = {e: inv(e1, label1, e) for e in e1.events}
-    inv2 = {e: inv(e2, label2, e) for e in e2.events}
+    inv1, inv2 = invariants(e1, label1), invariants(e2, label2)
     if Counter(inv1.values()) != Counter(inv2.values()):
         return None
 

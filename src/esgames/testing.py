@@ -31,7 +31,8 @@ from .games import (MINUS, NEUTRAL, PLUS, TICK, Polarised, component, dual,
                     payload, success_game)
 from .limits import DEFAULT_LIMITS, over_cap
 from .strategies import (BareStrategy, StoppingStrategy, bare_strategy,
-                         shared_target, stop_of, strategy, strategy_of)
+                         require_stopping, shared_target, stop_of, strategy,
+                         strategy_of)
 from .structures import (EventStructure, ekey, event_structure,
                          inherited_conflicts, maximal_consistent_sets,
                          reflexive_closures, sortedevents)
@@ -113,6 +114,7 @@ def finite_traces(sigma, limits=DEFAULT_LIMITS):
 
 def stopping_traces(s, limits=DEFAULT_LIMITS):
     """Traces of the stopping configurations only."""
+    require_stopping("stopping_traces", s)
     s = s.visible
     return frozenset(_trace_index(s.strat, s.sorted_stopping(), limits))
 
@@ -540,11 +542,11 @@ def _candidates(target, assign, pols):
     receptivity)."""
     n = len(assign)
     tes = target.es
+    covers = tes.immediate_pairs()
     slots = [(a, b) for i, j in combinations(range(n), 2)
              for a, b in ((i, j), (j, i))
              if (pols[b] != MINUS or assign[a] in tes.strict_below(assign[b]))
-             and (pols[a] != PLUS
-                  or (assign[a], assign[b]) in tes.immediate_pairs())]
+             and (pols[a] != PLUS or (assign[a], assign[b]) in covers)]
     conflictable = [(i, j) for i, j in combinations(range(n), 2)
                     if MINUS not in (pols[i], pols[j])
                     or not tes.is_consistent((assign[i], assign[j]))]

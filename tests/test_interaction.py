@@ -225,8 +225,8 @@ def test_hiding_commutes_with_interaction():
     echo = strategy(src, gp, gq, {"r": (1, "p"), "w": (3, "q")}, name="echo")
 
     big = interact(shot, echo)
-    lhs, _, _ = visible_part(big)
-    shot_vis, _, _ = visible_part(shot)
+    lhs = visible_part(big)
+    shot_vis = visible_part(shot)
     rhs = compose(shot_vis, echo)
     assert find_isomorphism(lhs.source.es, rhs.source.es,
                             label1=lhs.sigma.mapping,

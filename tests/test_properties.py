@@ -68,7 +68,6 @@ from esgames.fileformat import Workspace, parse, print_workspace
 from esgames.limits import DEFAULT_LIMITS, EngineLimits
 from esgames.randgen import (
     _random_source,
-    _target_shape,
     random_bare,
     random_game,
     random_in_game_strategy,
@@ -225,10 +224,10 @@ def test_stop_of_is_saturation_for_neutral_free_sources(seed):
 def test_visible_part_of_bare_strategy_validates(seed):
     rng = random.Random(seed)
     b = random_bare(rng, random_game(rng, 3), random_game(rng, 3))
-    vis, proj, down = visible_part(b)
+    vis = visible_part(b)
     assert vis.is_strategy
     for x in b.source.configurations():
-        assert vis.source.es.is_configuration(down(x))
+        assert vis.source.es.is_configuration(x & vis.source.events)
 
 
 @given(seeds)
@@ -524,7 +523,7 @@ def all_pairs_verdict(kind, subject, test):
     """may_pass or must_pass trying every pair of configurations."""
     sub = subject if isinstance(subject, StoppingStrategy) else stop_of(subject)
     if kind == "may":
-        t = test if test.is_strategy else visible_part(test)[0]
+        t = test if test.is_strategy else visible_part(test)
         ys = t.source.configurations()
         xs = sub.strat.source.configurations()
     else:
@@ -691,9 +690,10 @@ def candidate_bare(rng, A, B, middle_events):
     Opponent move dropped, or copied with or without a conflict."""
     middle = Polarised(event_structure(middle_events),
                        {m: NEUTRAL for m in middle_events})
-    tpol, torder, tclashes = _target_shape(A, middle, B)
+    target = shared_target(A, middle, B)
     events, causes, conflicts, pol, assign = _random_source(
-        rng, tpol, torder, tclashes)
+        rng, target.pol, target.es.immediate_pairs(),
+        target.es.inconsistent_pairs())
     opponent = [e for e in events if pol[e] == MINUS]
     if opponent and rng.random() < 0.5:
         m = rng.choice(opponent)
@@ -1117,7 +1117,7 @@ def test_inherited_event_orders_are_the_ekey_orders(seed):
         assert_as_built(es)
         keep = [e for e in es.ordered if rng.random() < 0.6]
         assert_as_built(es.restrict(keep))
-    assert_as_built(visible_part(inter)[0].source.es)
+    assert_as_built(visible_part(inter).source.es)
     for t in enumerate_tests(a, 3, bare=True):  # kept test skeletons
         assert_as_built(t.source.es)
 

@@ -109,7 +109,7 @@ def test_image_is_idempotent():
 
 
 def test_rejects_sources_with_internal_steps():
-    with pytest.raises(AssertionError):
+    with pytest.raises(BadArgument):
         rigid_image(fx.shot_or_stall())
 
 

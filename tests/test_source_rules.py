@@ -229,3 +229,52 @@ def test_src_calls_the_padded_oracle_nowhere():
              and (getattr(node.func, "id", None)
                   or getattr(node.func, "attr", None)) == "_padding"]
     assert not found, "\n".join(found)
+
+
+def test_every_kept_table_is_accounted_for():
+    # every table the engine keeps earned its place in an A/B that removed
+    # it (see the README on derived data): a cached_property, or a
+    # module-level table that starts empty and fills at run time. Each
+    # entry names the reader it serves; a new table comes with its A/B
+    KEPT = {
+        "strategies._targets": "shared_target: one dual(A) || N || B"
+                               " per value of the games",
+        "testing._kept": "enumerate_tests: enumerations of tests",
+        "_StrategyMap.target": "BareStrategy.target and sigma.dst",
+        "BareStrategy.is_strategy": "BareStrategy.visible and the"
+                                    " neutral-free checks",
+        "BareStrategy._hidden": "BareStrategy.visible",
+        "BareStrategy._by_image": "configurations_by_image",
+        "BareStrategy._stop": "stop_of",
+        "BareStrategy._ticking": "ticking_runs",
+        "StoppingStrategy._hidden": "StoppingStrategy.visible",
+        "StoppingStrategy._by_image": "stopping_by_image",
+        "StoppingStrategy.nonticking_runs": "must_pass's test runs",
+        "Polarised._hash": "Polarised.__hash__",
+    }
+
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else \
+            getattr(node, "id", None)
+
+    def filled_at_run_time(value):
+        if isinstance(value, ast.Dict):
+            return not value.keys
+        return isinstance(value, ast.Call) and name(value.func) in (
+            "dict", "OrderedDict", "WeakValueDictionary")
+
+    found = set()
+    for path, tree in sources("src"):
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                found |= {f"{node.name}.{fn.name}" for fn in node.body
+                          if isinstance(fn, ast.FunctionDef)
+                          and "cached_property" in map(name,
+                                                       fn.decorator_list)}
+            elif isinstance(node, ast.Assign) and \
+                    filled_at_run_time(node.value):
+                found |= {f"{path.stem}.{t.id}" for t in node.targets
+                          if isinstance(t, ast.Name)}
+    assert found == set(KEPT), "\n".join(
+        [f"not accounted for: {t}" for t in sorted(found - set(KEPT))]
+        + [f"no longer kept: {t}" for t in sorted(set(KEPT) - found)])

@@ -1,11 +1,13 @@
 """Strategy validation, visible parts, stopping data, and 2-cells."""
 
 import gc
+import random
 import weakref
 
 import pytest
 
 from esgames import fixtures as fx
+from esgames import strategies
 from esgames.errors import (
     BadArgument,
     GameMismatch,
@@ -31,10 +33,14 @@ from esgames.games import (
     Polarised,
     game,
     is_race_free,
+    parallel,
     plus_maximal_configs,
     slice_config,
 )
+from esgames.interaction import compose_stopping, interact_stopping
 from esgames.limits import DEFAULT_LIMITS, EngineLimits
+from esgames.randgen import random_bare
+from esgames.rigid import lint_stopping, rigid_image, rigid_image_stopping
 from esgames.strategies import (
     BareStrategy,
     StoppingStrategy,
@@ -55,6 +61,7 @@ from esgames.testing import (
     may_pass,
     may_preorder,
     must_pass,
+    stopping_traces,
     success_game,
     synthesize_may_test,
 )
@@ -133,21 +140,21 @@ def test_bare_trio_is_valid():
 
 def test_visible_part_of_pure_strategy_is_itself():
     st = fx.relay_b2_to_c()
-    vis, p, down = visible_part(st)
+    vis = visible_part(st)
     assert vis.source.events == st.source.events
     assert vis.sigma.mapping == st.sigma.mapping
-    assert down(fs("t2", "t3")) == fs("t2", "t3")
+    assert fs("t2", "t3") & vis.source.events == fs("t2", "t3")
 
 
 def test_visible_part_hides_neutrals():
-    vis, p, down = visible_part(fx.shot_after_step())
+    vis = visible_part(fx.shot_after_step())
     assert vis.source.events == fs("s")
-    assert down(fs("n", "s")) == fs("s")
+    assert fs("n", "s") & vis.source.events == fs("s")
     assert validate_bare_strategy(vis) == []
 
-    vis3, _, down3 = visible_part(fx.shot_or_stall())
+    vis3 = visible_part(fx.shot_or_stall())
     assert vis3.source.events == fs("s")
-    assert down3(fs("m")) == fs()
+    assert fs("m") & vis3.source.events == fs()
 
 
 def test_stop_of_trio():
@@ -281,11 +288,11 @@ def test_two_cell_visible_functoriality():
     assert validate_two_cell(f, src, dst) == []
     fv = two_cell_visible(f, src, dst)
     assert fv.mapping == {"s": "s"}
-    _, _, down_src = visible_part(src)
-    _, _, down_dst = visible_part(dst)
+    vis_src = visible_part(src).source.events
+    vis_dst = visible_part(dst).source.events
     for x in src.source.configurations():
         img = frozenset(f[e] for e in x)
-        assert fv.image(down_src(x)) == down_dst(img)
+        assert fv.image(x & vis_src) == img & vis_dst
 
 
 def test_receptivity_is_reported_one_opponent_move_at_a_time():
@@ -309,6 +316,36 @@ def test_receptivity_is_reported_one_opponent_move_at_a_time():
 def test_saturate_stopping_refuses_bare_strategies():
     with pytest.raises(BadArgument):
         saturate_stopping(fx.shot_after_step())
+
+
+def bare_and_stopping():
+    return fx.press_b2(), stop_of(fx.relay_b2_to_c())
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda bs, st: interact_stopping(bs, st),
+     "interact_stopping expects a stopping strategy, not BareStrategy"),
+    (lambda bs, st: compose_stopping(bs, st),
+     "compose_stopping expects a stopping strategy, not BareStrategy"),
+    (lambda bs, st: rigid_image_stopping(bs),
+     "rigid_image_stopping expects a stopping strategy, not BareStrategy"),
+    (lambda bs, st: lint_stopping(bs),
+     "lint_stopping expects a stopping strategy, not BareStrategy"),
+    (lambda bs, st: stopping_traces(bs),
+     "stopping_traces expects a stopping strategy, not BareStrategy"),
+    (lambda bs, st: stop_of(st),
+     "stop_of expects a bare strategy, not StoppingStrategy"),
+    (lambda bs, st: saturate_stopping(st),
+     "saturate_stopping expects a neutral-free strategy"),
+    (lambda bs, st: rigid_image(st),
+     "rigid_image expects a neutral-free strategy"),
+], ids=["interact_stopping", "compose_stopping", "rigid_image_stopping",
+        "lint_stopping", "stopping_traces", "stop_of", "saturate_stopping",
+        "rigid_image"])
+def test_a_strategy_of_the_wrong_kind_is_a_typed_error(call, text):
+    with pytest.raises(BadArgument) as err:
+        call(*bare_and_stopping())
+    assert str(err.value) == text
 
 
 def test_two_cell_kind_and_stopping_endpoints_are_checked():
@@ -579,3 +616,22 @@ def test_strategies_over_equal_games_share_one_target_while_one_holds_it():
     del one, two
     gc.collect()
     assert target() is None
+
+
+def test_a_random_draw_builds_its_target_once(monkeypatch):
+    # the draw holds dual(A) || N || B while it validates, so validation
+    # reads the target the candidates were drawn over
+    built = []
+
+    def counting(*parts):
+        built.append(parts)
+        return parallel(*parts)
+
+    monkeypatch.setattr(strategies, "parallel", counting)
+    rng = random.Random(7)
+    for i in range(20):
+        # games no other test plays, each of another value
+        moves = [f"fresh{i}", f"fresh{i}b"]
+        g = game(event_structure(moves), {moves[0]: PLUS, moves[1]: MINUS})
+        random_bare(rng, EMPTY, g)
+    assert len(built) == 20
