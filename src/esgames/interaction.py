@@ -185,6 +185,16 @@ def _side(parts):
     return rows, full
 
 
+def _indices(bits):
+    """The positions of the set bits of bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 def _pairs_at(bits, on):
     """The union of on[b] over the set bits b of bits."""
     out = 0
@@ -202,14 +212,14 @@ class _BijectionTable:
 
     def __init__(self, pairs, bijections):
         self.pairs = pairs            # bit position -> (left, right) pair
-        self.bijections = bijections  # set of ints
+        self.bijections = bijections  # list of ints, each bijection once
         self.primes = []              # (prime event, its pair bits), in order
 
     def __len__(self):
         return len(self.bijections)
 
     def pair_set(self, bits):
-        return frozenset(p for k, p in enumerate(self.pairs) if bits >> k & 1)
+        return frozenset(map(self.pairs.__getitem__, _indices(bits)))
 
     def primes_in(self, bits):
         """The primes of a secured bijection: those whose pairs it holds.
@@ -219,18 +229,28 @@ class _BijectionTable:
 
 
 def _enumerate_pullback(left, right, limits):
-    """BFS over secured bijections, extending by one enabled matched pair.
+    """Reverse search over secured bijections, each listed once.
 
     left and right are the two sides, each a list of parts (es, image) that
-    _side reads in place. A new pair joins above everything present, so
-    securedness is preserved; every secured bijection arises along a
-    linearisation of its own order. Candidate pairs are numbered once, and a
-    bijection is the int of its pairs' bits. Each frontier entry carries,
-    per side, its set of events as bits and the AND of its members' masks:
-    a set is consistent exactly when that AND is non-zero, so enabling a
-    pair costs a few integer operations. The prime a new pair tops is the
-    closure of its bit under the pairs that hold a strict cause of either of
-    its events.
+    _side reads in place. Candidate pairs are numbered once, and a
+    bijection is the int of its pairs' bits. A pair is enabled in a
+    bijection when neither of its events is matched yet, their strict
+    causes are, and both sides stay consistent: each side keeps its events
+    as bits and the AND of their masks, and a set is consistent exactly
+    when that AND is non-zero. An enabled pair joins above everything
+    present, so securedness is preserved.
+
+    Every non-empty bijection has one parent, itself less its highest
+    maximal pair, so the search takes an enabled pair kb only when the
+    maximal pairs it leaves uncovered all lie below kb, and reaches each
+    bijection once, depth first (Avis and Fukuda's reverse search). Each
+    state keeps its maximal pairs and its enabled pairs as ints: a child's
+    maximal pairs are those kb does not cover, plus kb, and it is a prime,
+    the down-closure of kb, when kb is its only one. A child's enabled
+    pairs are its parent's less those sharing an event with kb, filtered
+    again by mask only when a mask AND shrank, plus those of kb's
+    successors whose causes are now present; it is maximal when none is
+    left.
     Returns the pullback's event structure and its _BijectionTable.
     """
     if limits.max_configs < 1:  # the empty bijection counts as one
@@ -246,73 +266,82 @@ def _enumerate_pullback(left, right, limits):
     for k, (lrow, rrow) in enumerate(matched):
         on_left[lrow[2]] = on_left.get(lrow[2], 0) | 1 << k
         on_right[rrow[2]] = on_right.get(rrow[2], 0) | 1 << k
-    causes = [_pairs_at(lrow[3], on_left) | _pairs_at(rrow[3], on_right)
-              for lrow, rrow in matched]
-    partners = {}  # left event bit -> its tables and, per pair, the right's
-    for k, (lrow, rrow) in enumerate(matched):
-        partners.setdefault(lrow[2], (*lrow[2:], []))[3].append(
-            (*rrow[2:], 1 << k, causes[k]))
+    # per pair: its bit, its two events' bits, their strict causes and masks
+    rows = [(1 << k, lrow[2], rrow[2], lrow[3], rrow[3], lrow[4], rrow[4])
+            for k, (lrow, rrow) in enumerate(matched)]
+    # the pairs holding a strict cause of either event, the pairs sharing
+    # an event, and the rows of the pairs with an event among their causes
+    causes = [_pairs_at(lc, on_left) | _pairs_at(rc, on_right)
+              for _, _, _, lc, rc, _, _ in rows]
+    shares = [on_left[lb] | on_right[rb] for _, lb, rb, _, _, _, _ in rows]
+    succ, after = [0] * len(rows), [[] for _ in rows]  # as bits and rows
+    for row, cs in zip(rows, causes):
+        for k in _indices(cs):
+            succ[k] |= row[0]
+            after[k].append(row)
 
-    frontier = [(0, 0, 0, lfull, rfull)]
-    maximal = []
-    seen = {0}
-    prime_registry = {}       # prime's pair bits -> its top pair's bit
-
-    while frontier:
-        nxt = []
-        for th, lefts, rights, lmask, rmask in frontier:
-            grown = False
-            for lb, lcauses, lcons, rs in partners.values():
-                if lefts & lb or lcauses & ~lefts:
-                    continue
-                lm = lmask & lcons
-                if not lm:
-                    continue
-                for rb, rcauses, rcons, kb, kcauses in rs:
-                    if rights & rb or rcauses & ~rights:
-                        continue
-                    rm = rmask & rcons
-                    if not rm:
-                        continue
-                    grown = True
-                    th2 = th | kb
-                    if th2 in seen:
-                        continue
-                    seen.add(th2)
-                    if len(seen) > limits.max_configs:
-                        raise over_cap(limits.max_configs,
-                                       "secured bijections")
-                    pr, todo = kb, kcauses & th
-                    while todo:
-                        pr |= todo
-                        reach = 0
-                        while todo:
-                            low = todo & -todo
-                            reach |= causes[low.bit_length() - 1]
-                            todo ^= low
-                        todo = reach & th & ~pr
-                    prime_registry.setdefault(pr, kb)
-                    if len(prime_registry) > limits.max_primes:
-                        raise over_cap(limits.max_primes,
-                                       "interaction events")
-                    nxt.append((th2, lefts | lb, rights | rb, lm, rm))
-            if not grown:
-                maximal.append(th)
-        frontier = nxt
+    enabled = sum(kb for kb, _, _, lc, rc, lk, rk in rows
+                  if not (lc or rc) and lk & lfull and rk & rfull)
+    max_configs, max_primes = limits.max_configs, limits.max_primes
+    bijections, primes = [0], []  # primes: (pair bits, top pair's bit)
+    maximal = [] if enabled else [0]
+    stack = [(0, 0, 0, lfull, rfull, 0, enabled)]
+    while stack:
+        th, lefts, rights, lmask, rmask, top, enabled = stack.pop()
+        # a pair numbered below h, the highest maximal pair, is the highest
+        # of a child only when it covers h, so only h's successors and the
+        # pairs above h are tried
+        h = top.bit_length() - 1
+        todo = enabled & (succ[h] | -(2 << h)) if top else enabled
+        while todo:
+            kb = todo & -todo
+            todo ^= kb
+            k = kb.bit_length() - 1
+            rest = top & ~causes[k]
+            if rest > kb:  # not the highest maximal pair of th | kb
+                continue
+            th2 = th | kb
+            bijections.append(th2)
+            if len(bijections) > max_configs:
+                raise over_cap(max_configs, "secured bijections")
+            if not rest:
+                primes.append((th2, kb))
+                if len(primes) > max_primes:
+                    raise over_cap(max_primes, "interaction events")
+            _, lb, rb, _, _, lk, rk = rows[k]
+            lefts2, rights2 = lefts | lb, rights | rb
+            lm, rm = lmask & lk, rmask & rk
+            en = enabled & ~shares[k]
+            if lm != lmask or rm != rmask:
+                bits = en
+                while bits:
+                    jb = bits & -bits
+                    bits ^= jb
+                    _, _, _, _, _, lk, rk = rows[jb.bit_length() - 1]
+                    if not (lk & lm and rk & rm):
+                        en ^= jb
+            for jb, lb, rb, lc, rc, lk, rk in after[k]:
+                if not (lb & lefts2 or rb & rights2 or lc & ~lefts2
+                        or rc & ~rights2) and lk & lm and rk & rm:
+                    en |= jb
+            if en:
+                stack.append((th2, lefts2, rights2, lm, rm, rest | kb, en))
+            else:
+                maximal.append(th2)
 
     # a prime's ekey compares its sorted pairs, then its top, and each side's
     # bit positions order that side's events as ekey does
     pairs = [(lrow[0], rrow[0]) for lrow, rrow in matched]
     ranks = [(lrow[2].bit_length() - 1, rrow[2].bit_length() - 1)
              for lrow, rrow in matched]
-    table = _BijectionTable(pairs, seen)
+    table = _BijectionTable(pairs, bijections)
 
     def rank_key(item):
         pr, top = item
-        return (sorted(r for k, r in enumerate(ranks) if pr >> k & 1),
+        return (sorted(map(ranks.__getitem__, _indices(pr))),
                 ranks[top.bit_length() - 1])
 
-    for pr, top in sorted(prime_registry.items(), key=rank_key):
+    for pr, top in sorted(primes, key=rank_key):
         table.primes.append(
             (prime_event(table.pair_set(pr), pairs[top.bit_length() - 1]), pr))
     below = {e: frozenset(d for d, db in table.primes if not db & ~pr)

@@ -431,6 +431,50 @@ def test_interaction_primes_of_match_the_exhaustive_oracle(seed):
     assert inter.source.events == frozenset().union(*primes_of.values())
 
 
+def copycat_on_moves(n):
+    """Copycat on n concurrent Player moves."""
+    names = [f"c{i}" for i in range(n)]
+    return copycat_strategy(game(event_structure(names),
+                                 {e: PLUS for e in names}))
+
+
+def copycat_on_chain(m):
+    """Copycat on a chain of m moves of alternating polarity."""
+    names = [f"k{i}" for i in range(m)]
+    return copycat_strategy(game(
+        event_structure(names, causes=list(zip(names, names[1:]))),
+        {e: (PLUS, MINUS)[i % 2] for i, e in enumerate(names)}))
+
+
+def assert_maxcons_are_the_exhaustive_maximal_ones(sigma, tau):
+    # the pullback's maximal consistent sets are the primes of the maximal
+    # secured bijections, found here by listing every pair of configurations
+    primes_of = secured_bijections_exhaustively(*_padding(sigma, tau))
+    want = {ps for th, ps in primes_of.items()
+            if not any(th < other for other in primes_of)}
+    assert set(interact(sigma, tau).source.es.maxcons) == want
+
+
+@given(seeds)
+@example(10)  # conflicts on both padded sides
+@example(25)  # three maximal consistent sets on the left
+@settings(max_examples=30, deadline=None)
+def test_pullback_maxcons_are_the_exhaustive_maximal_bijections(seed):
+    assert_maxcons_are_the_exhaustive_maximal_ones(*padded_bare_pair(seed))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_copycat_square_maxcons_on_concurrent_moves_are_exhaustive(n):
+    cc = copycat_on_moves(n)
+    assert_maxcons_are_the_exhaustive_maximal_ones(cc, cc)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_copycat_square_maxcons_on_chains_are_exhaustive(m):
+    cc = copycat_on_chain(m)
+    assert_maxcons_are_the_exhaustive_maximal_ones(cc, cc)
+
+
 def padded_interaction(sigma, tau, limits=DEFAULT_LIMITS):
     """interact as built over the padded juxtapositions S || N || C and
     A || M || T, the oracle for the parts read in place: the pullback's
@@ -487,18 +531,13 @@ def test_interaction_reads_the_parts_as_the_padding_did(seed):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_copycat_squares_on_concurrent_moves_read_as_padded(n):
-    names = [f"c{i}" for i in range(n)]
-    cc = copycat_strategy(game(event_structure(names),
-                               {e: PLUS for e in names}))
+    cc = copycat_on_moves(n)
     assert_interaction_is_the_padded_one(cc, cc)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_copycat_squares_on_chains_read_as_padded(m):
-    names = [f"k{i}" for i in range(m)]
-    g = game(event_structure(names, causes=list(zip(names, names[1:]))),
-             {e: (PLUS, MINUS)[i % 2] for i, e in enumerate(names)})
-    cc = copycat_strategy(g)
+    cc = copycat_on_chain(m)
     assert_interaction_is_the_padded_one(cc, cc)
 
 

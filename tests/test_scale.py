@@ -1,6 +1,6 @@
 """Scale checks, each in a child process of its own under a 20 s timeout:
 the structure builders on many independent conflicts, and, under a capped
-address space, the pullback of a copycat square and the preorders on many
+address space, the pullback of copycat squares and the preorders on many
 concurrent moves."""
 
 import subprocess
@@ -38,17 +38,18 @@ def test_structure_builders_scale(tmp_path, name, n, before, after):
     assert got.returncode == 0, got.stderr
 
 
-# the pullback keeps each secured bijection as one int: 4^8 of them fit in
-# far less than the 96 MB address space the child is given
+# the pullback keeps each secured bijection as one int and lists it once:
+# 4^9 of them fit in far less than the 96 MB address space the child is given
 COPYCAT_SQUARE = """
 import resource
+import sys
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
 resource.setrlimit(resource.RLIMIT_AS, (96 << 20, hard))
 from esgames.games import MINUS, PLUS, game
 from esgames.interaction import interact
 from esgames.strategies import copycat_strategy
 from esgames.structures import event_structure
-names = [f"c{i}" for i in range(8)]
+names = [f"c{i}" for i in range(int(sys.argv[1]))]
 g = game(event_structure(names),
          {e: (PLUS, MINUS)[i % 2] for i, e in enumerate(names)})
 cc = copycat_strategy(g)
@@ -57,10 +58,22 @@ print(len(inter._bijections), len(inter.source.events))
 """
 
 
+def copycat_square(n):
+    """The bijection and prime counts of copycat against copycat on n
+    concurrent moves, from a child given 96 MB."""
+    got = subprocess.run([sys.executable, "-c", COPYCAT_SQUARE, str(n)],
+                         cwd=SRC, capture_output=True, text=True, timeout=20)
+    return got.stdout.split(), got.stderr[-2000:]
+
+
 def test_copycat_square_on_8_concurrent_moves_in_96_mb():
-    got = subprocess.run([sys.executable, "-c", COPYCAT_SQUARE], cwd=SRC,
-                         capture_output=True, text=True, timeout=20)
-    assert got.stdout.split() == ["65536", "24"], got.stderr[-2000:]
+    out, err = copycat_square(8)
+    assert out == ["65536", "24"], err
+
+
+def test_copycat_square_on_9_concurrent_moves_in_96_mb():
+    out, err = copycat_square(9)
+    assert out == ["262144", "27"], err
 
 
 # every configuration of n concurrent moves is covered by the one with its
